@@ -120,22 +120,12 @@ _LOCALITY_FLOORS = {
     "large": {"speedup_min": 1.25},
     "xlarge": {"speedup_min": 1.10},
 }
-# Compile section (sweep 11) per-arm metrics: raw step rate of every arm
-# (eager included) and the compiled arms' speedup over eager.
-_COMPILE_KEYS = ("steps_per_sec", "speedup_over_eager")
-# Hard floor on the sweep-11 step-compiler claim: at these presets the
-# best compiled arm must beat the eager step by the given factor
-# (median of paired interleaved rounds).  The compiled arms' bitwise
-# parity flags — replayed loss and every parameter gradient identical
-# to eager — are enforced unconditionally at every preset, in both the
-# committed artifact and any fresh re-bench that runs the sweep.
-_COMPILE_FLOORS = {"large": {"speedup_min": 1.25}}
 # Per-preset sections the artifact is built from; used to report a
 # *missing* section (key absent) distinctly from one that was not run
 # (present but empty), which is normal for partial smoke refreshes.
 _SECTIONS = ("backends", "memory_kernel", "dtype_sweep", "thread_sweep",
              "minibatch", "optimizer", "memory", "serving", "parallel",
-             "locality", "compile")
+             "locality")
 
 
 def _presets(payload: Dict) -> Dict[str, Dict]:
@@ -401,70 +391,6 @@ def compare(baseline: Dict, fresh: Dict,
                     f"is below the required {speedup_min:g}x floor "
                     f"(working set {working_set:.0f} MB vs "
                     f"{host_l3:.0f} MB L3 — DRAM-bound run)")
-        base_compile = base_presets[preset].get("compile", {})
-        fresh_compile = fresh_presets[preset].get("compile", {})
-        base_carms = (base_compile.get("arms", {})
-                      if isinstance(base_compile, dict) else {})
-        fresh_carms = (fresh_compile.get("arms", {})
-                       if isinstance(fresh_compile, dict) else {})
-        for arm in sorted(set(base_carms) & set(fresh_carms)):
-            base_stats = base_carms[arm]
-            fresh_stats = fresh_carms[arm]
-            if not isinstance(base_stats, dict) or not isinstance(fresh_stats, dict):
-                continue
-            for key in _COMPILE_KEYS:
-                old = base_stats.get(key)
-                new = fresh_stats.get(key)
-                if not old or new is None:
-                    continue
-                drop = (old - new) / old
-                if drop > threshold:
-                    problems.append(
-                        f"{preset}/compile/{arm}: {key} regressed "
-                        f"{100 * drop:.1f}% ({old:.3f} -> {new:.3f})")
-        compile_floors = _COMPILE_FLOORS.get(preset)
-        for label, compile_section in (("baseline", base_compile),
-                                       ("fresh", fresh_compile)):
-            if not isinstance(compile_section, dict) or not compile_section:
-                continue
-            for arm, stats in sorted(compile_section.get("arms", {}).items()):
-                if not isinstance(stats, dict):
-                    continue
-                # Bitwise parity is unconditional: a compiled arm that
-                # does not replay the eager step exactly is wrong at any
-                # speed, at every preset.
-                if stats.get("parity_ok") is False:
-                    problems.append(
-                        f"{preset}/compile/{arm} ({label}): replayed step "
-                        f"is not bitwise-identical to eager "
-                        f"(parity_ok=false)")
-                plan = stats.get("plan")
-                if isinstance(plan, dict) and plan.get("disabled_reason"):
-                    problems.append(
-                        f"{preset}/compile/{arm} ({label}): stepper fell "
-                        f"back to eager during the sweep: "
-                        f"{plan['disabled_reason']}")
-            if compile_floors is None:
-                continue
-            best = compile_section.get("best")
-            speedup_min = compile_floors["speedup_min"]
-            if not isinstance(best, dict):
-                problems.append(
-                    f"{preset}/compile ({label}): section has no 'best' "
-                    f"summary — run the compile sweep with at least one "
-                    f"compiled arm so the floor can be checked")
-                continue
-            speedup = best.get("speedup_over_eager")
-            if speedup is None:
-                problems.append(
-                    f"{preset}/compile/best ({label}): missing "
-                    f"'speedup_over_eager'; cannot check the "
-                    f"{speedup_min:g}x floor")
-            elif speedup < speedup_min:
-                problems.append(
-                    f"{preset}/compile/best ({label}): {best.get('arm')} "
-                    f"speedup {speedup:.3f}x over the eager step is below "
-                    f"the required {speedup_min:g}x floor")
         parallel_floors = _PARALLEL_FLOORS.get(preset)
         if parallel_floors is not None:
             for label, parallel in (("baseline", base_parallel),

@@ -28,6 +28,7 @@ from repro.autograd.sparse import (
 from repro.autograd import ops
 from repro.autograd.ops import (
     add,
+    bpr_tail,
     cat,
     exp,
     gather_rows,
@@ -50,20 +51,8 @@ from repro.autograd.ops import (
     where,
 )
 from repro.autograd.gradcheck import gradcheck, numerical_gradient
-from repro.autograd.compile import (
-    CompiledStepper,
-    PlanOptions,
-    PlanUnsupported,
-    StepPlan,
-    TapeRecorder,
-)
 
 __all__ = [
-    "CompiledStepper",
-    "PlanOptions",
-    "PlanUnsupported",
-    "StepPlan",
-    "TapeRecorder",
     "Tensor",
     "no_grad",
     "is_grad_enabled",
@@ -93,6 +82,7 @@ __all__ = [
     "softmax",
     "softplus",
     "log_sigmoid",
+    "bpr_tail",
     "gradcheck",
     "numerical_gradient",
 ]

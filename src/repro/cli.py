@@ -10,7 +10,6 @@ Commands
 ``serve-bench`` run the sweep-8 serving A/B (exact vs IVF vs LSH retrieval)
 ``parallel-bench`` run the sweep-9 multi-process training sweep
 ``locality-bench`` run the sweep-10 reorder × blocked-spmm locality sweep
-``compile-bench`` run the sweep-11 eager vs step-compiled training steps
 """
 
 from __future__ import annotations
@@ -205,47 +204,6 @@ def _cmd_locality_bench(args) -> int:
     return 0
 
 
-def _cmd_compile_bench(args) -> int:
-    from repro.engine import use_dtype
-    from repro.experiments.engine_bench import (
-        _COMPILE_TUNED,
-        EngineBenchResults,
-        merge_preset_section,
-        run_compile_bench,
-    )
-
-    # Start from the per-preset tuned knobs (the dims the committed
-    # artifact was recorded with) and let explicit flags override them.
-    kwargs = dict(_COMPILE_TUNED.get(args.preset, {}))
-    if args.model is not None:
-        kwargs["model_name"] = args.model
-    if args.embed_dim is not None:
-        kwargs["embed_dim"] = args.embed_dim
-    if args.batch_size is not None:
-        kwargs["batch_size"] = args.batch_size
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    if args.steps_per_round is not None:
-        kwargs["steps_per_round"] = args.steps_per_round
-    if args.memory_units is not None:
-        kwargs["model_kwargs"] = dict(kwargs.get("model_kwargs", {}),
-                                      num_memory_units=args.memory_units)
-    with use_dtype(args.dtype):
-        section = run_compile_bench(
-            preset=args.preset, num_layers=args.num_layers,
-            seed=args.seed, **kwargs)
-    rendered = EngineBenchResults(dataset_name=args.preset, epochs=0)
-    rendered.compile = section
-    lines = rendered.render().splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.startswith("compile"))
-    print("\n".join(lines[start:]))
-    if args.output:
-        merge_preset_section(args.output, args.preset, "compile", section)
-        print(f"merged compile section into {args.output}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="DGNN (ICDE 2023) reproduction toolkit")
@@ -349,27 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="BENCH_engine.json to merge the section into")
     loc.set_defaults(func=_cmd_locality_bench)
 
-    comp = commands.add_parser(
-        "compile-bench",
-        help="sweep-11 step compiler: eager vs tape-replay training steps")
-    comp.add_argument("--preset", default="medium", choices=sorted(PRESETS))
-    comp.add_argument("--model", default=None, choices=available_models(),
-                      help="override the preset's tuned model "
-                           "(default: the tuned choice, else dgnn)")
-    comp.add_argument("--embed-dim", type=int, default=None,
-                      help="override the preset's tuned embedding width")
-    comp.add_argument("--num-layers", type=int, default=2)
-    comp.add_argument("--memory-units", type=int, default=None,
-                      help="override the preset's tuned dgnn memory units")
-    comp.add_argument("--batch-size", type=int, default=None)
-    comp.add_argument("--steps-per-round", type=int, default=None)
-    comp.add_argument("--repeats", type=int, default=None)
-    comp.add_argument("--dtype", default="float32",
-                      choices=["float32", "float64"])
-    comp.add_argument("--seed", type=int, default=0)
-    comp.add_argument("--output", default=None,
-                      help="BENCH_engine.json to merge the section into")
-    comp.set_defaults(func=_cmd_compile_bench)
     return parser
 
 

@@ -234,21 +234,20 @@ class KernelBackend:
             flops=2.0 * sum(needs) * embeddings.shape[0] * units * dim * dim)
         return grads
 
-    def bpr_tail(self, pos_scores: np.ndarray, neg_scores: np.ndarray,
-                 d_out: Optional[np.ndarray] = None
+    def bpr_tail(self, pos_scores: np.ndarray, neg_scores: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray]:
         """Fused BPR loss tail: ``-mean(log_sigmoid(pos - neg))``.
 
-        Collapses the eager ``sub → neg → softplus → neg → mean → neg``
+        Collapses the ``sub → neg → softplus → neg → mean → neg`` op
         chain into one kernel, bitwise-identical to the chain (IEEE
         negation commutes exactly with pairwise summation and division,
-        so ``mean(softplus(neg - pos))`` equals the doubly-negated eager
+        so ``mean(softplus(neg - pos))`` equals the doubly-negated chain
         value bit for bit).  Returns ``(loss, diff)`` where ``loss`` is
-        a 0-d array and ``diff = pos - neg`` (written into ``d_out``
-        when given) is retained for :meth:`bpr_tail_backward`.
+        a 0-d array and ``diff = pos - neg`` is retained for
+        :meth:`bpr_tail_backward`.
         """
         start = time.perf_counter()
-        loss, diff = self._bpr_tail(pos_scores, neg_scores, d_out=d_out)
+        loss, diff = self._bpr_tail(pos_scores, neg_scores)
         n = float(pos_scores.size)
         item = pos_scores.dtype.itemsize
         counters().record_kernel(
@@ -257,10 +256,7 @@ class KernelBackend:
         return loss, diff
 
     def bpr_tail_backward(self, diff: np.ndarray, upstream: np.ndarray,
-                          count: int,
-                          grad_pos_out: Optional[np.ndarray] = None,
-                          grad_neg_out: Optional[np.ndarray] = None,
-                          ) -> Tuple[np.ndarray, np.ndarray]:
+                          count: int) -> Tuple[np.ndarray, np.ndarray]:
         """Backward of :meth:`bpr_tail`.
 
         ``upstream`` is the (0-d) gradient flowing into the loss value;
@@ -268,12 +264,10 @@ class KernelBackend:
         grad_neg) = (-ga, ga)`` with ``ga = (upstream / count) ·
         sigmoid(neg - pos)`` — the ``sigmoid·(1−sigmoid)``-family tail
         collapsed to a single stable sigmoid, bitwise-identical to the
-        eager closure chain.
+        op chain's backward closures.
         """
         start = time.perf_counter()
-        grads = self._bpr_tail_backward(diff, upstream, count,
-                                        grad_pos_out=grad_pos_out,
-                                        grad_neg_out=grad_neg_out)
+        grads = self._bpr_tail_backward(diff, upstream, count)
         n = float(diff.size)
         item = diff.dtype.itemsize
         counters().record_kernel(
@@ -307,11 +301,10 @@ class KernelBackend:
                                  transforms, needs):
         raise NotImplementedError
 
-    def _bpr_tail(self, pos_scores, neg_scores, d_out=None):
+    def _bpr_tail(self, pos_scores, neg_scores):
         raise NotImplementedError
 
-    def _bpr_tail_backward(self, diff, upstream, count,
-                           grad_pos_out=None, grad_neg_out=None):
+    def _bpr_tail_backward(self, diff, upstream, count):
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -379,22 +372,18 @@ class NaiveBackend(KernelBackend):
             out[node] = embeddings[node] @ mixed
         return out
 
-    def _bpr_tail(self, pos_scores, neg_scores, d_out=None):
-        # Literal transcription of the eager op chain — the oracle the
-        # fast kernel is parity-checked against.
+    def _bpr_tail(self, pos_scores, neg_scores):
+        # Literal transcription of the op chain — the oracle the fast
+        # kernel is parity-checked against.
         diff = np.subtract(pos_scores, neg_scores)
         neg_diff = np.negative(diff)
         softplus_val = stable_softplus(neg_diff)
         log_sig = np.negative(softplus_val)
         loss = np.negative(np.mean(log_sig))
-        if d_out is not None:
-            np.copyto(d_out, diff)
-            diff = d_out
         return np.asarray(loss), diff
 
-    def _bpr_tail_backward(self, diff, upstream, count,
-                           grad_pos_out=None, grad_neg_out=None):
-        # One eager backward closure per line, in closure order.
+    def _bpr_tail_backward(self, diff, upstream, count):
+        # One op-chain backward closure per line, in closure order.
         mean_grad = np.negative(upstream)                    # final neg
         log_sig_grad = np.broadcast_to(mean_grad / count,    # mean
                                        diff.shape)
@@ -404,12 +393,6 @@ class NaiveBackend(KernelBackend):
         diff_grad = np.negative(neg_diff_grad)               # first neg
         grad_pos = diff_grad                                 # sub, a side
         grad_neg = np.negative(diff_grad)                    # sub, b side
-        if grad_pos_out is not None:
-            np.copyto(grad_pos_out, grad_pos)
-            grad_pos = grad_pos_out
-        if grad_neg_out is not None:
-            np.copyto(grad_neg_out, grad_neg)
-            grad_neg = grad_neg_out
         return grad_pos, grad_neg
 
     def _memory_mixture_backward(self, grad_out, embeddings, gates,
@@ -559,10 +542,8 @@ class FastBackend(KernelBackend):
                 arena.release(buf)
         return grad_emb, grad_gates, grad_transforms
 
-    def _bpr_tail(self, pos_scores, neg_scores, d_out=None):
-        diff = _out_buffer(pos_scores.shape, pos_scores.dtype, d_out,
-                           zero=False)
-        np.subtract(pos_scores, neg_scores, out=diff)
+    def _bpr_tail(self, pos_scores, neg_scores):
+        diff = np.subtract(pos_scores, neg_scores)
         # softplus(-diff) = max(-diff, 0) + log1p(exp(-|diff|)), built
         # in place (|−d| ≡ |d| bitwise).
         work = np.abs(diff)
@@ -577,19 +558,13 @@ class FastBackend(KernelBackend):
         loss = work.mean()
         return np.asarray(loss), diff
 
-    def _bpr_tail_backward(self, diff, upstream, count,
-                           grad_pos_out=None, grad_neg_out=None):
-        grad_neg = _out_buffer(diff.shape, diff.dtype, grad_neg_out,
-                               zero=False)
-        grad_pos = _out_buffer(diff.shape, diff.dtype, grad_pos_out,
-                               zero=False)
+    def _bpr_tail_backward(self, diff, upstream, count):
         sig = stable_sigmoid(np.negative(diff))
         # (upstream / count) == -((-upstream) / count) bitwise, so the
-        # eager double negation collapses to one scalar division.
+        # chain's double negation collapses to one scalar division.
         scale = np.true_divide(upstream, count)
-        np.multiply(sig, scale, out=grad_neg)
-        np.negative(grad_neg, out=grad_pos)
-        return grad_pos, grad_neg
+        grad_neg = np.multiply(sig, scale, out=sig)
+        return np.negative(grad_neg), grad_neg
 
 
 class ThreadedBackend(FastBackend):

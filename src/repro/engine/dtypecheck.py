@@ -123,6 +123,22 @@ class DtypeCheckingBackend(KernelBackend):
             _check("memory_mixture_backward", role, grad)
         return grads
 
+    def _bpr_tail(self, pos_scores, neg_scores):
+        _check("bpr_tail", "pos_scores", pos_scores)
+        _check("bpr_tail", "neg_scores", neg_scores)
+        loss, diff = self.inner._bpr_tail(pos_scores, neg_scores)
+        _check("bpr_tail", "loss", loss)
+        _check("bpr_tail", "diff", diff)
+        return loss, diff
+
+    def _bpr_tail_backward(self, diff, upstream, count):
+        _check("bpr_tail_backward", "diff", diff)
+        _check("bpr_tail_backward", "upstream", upstream)
+        grads = self.inner._bpr_tail_backward(diff, upstream, count)
+        for role, grad in zip(("grad_pos", "grad_neg"), grads):
+            _check("bpr_tail_backward", role, grad)
+        return grads
+
 
 @contextlib.contextmanager
 def detect_leaks(

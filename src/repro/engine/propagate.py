@@ -122,7 +122,7 @@ def bpr_terms(user_emb: Tensor, item_emb: Tensor, users: np.ndarray,
     negatives = np.asarray(negatives, dtype=np.int64)
     pos_scores = ops.gathered_rowwise_dot(user_emb, item_emb, users, positives)
     neg_scores = ops.gathered_rowwise_dot(user_emb, item_emb, users, negatives)
-    loss = ops.neg(ops.mean(ops.log_sigmoid(ops.sub(pos_scores, neg_scores))))
+    loss = ops.bpr_tail(pos_scores, neg_scores)
     if l2 > 0:
         reg = ops.mean(ops.add(
             ops.add(

@@ -3,8 +3,8 @@
 The stable formulations below were historically re-derived in place in
 three spots — the ``sigmoid`` forward, the ``softplus`` backward, and the
 BPR loss tail — with identical math.  They live here once so the autograd
-ops, the fused :mod:`repro.engine.backends` kernels, and the step
-compiler's replay kernels all evaluate bit-for-bit the same expressions.
+ops and the fused :mod:`repro.engine.backends` kernels evaluate
+bit-for-bit the same expressions.
 
 Bitwise contract: each helper computes exactly the expression the ops
 historically inlined (same numpy calls, same order), so switching a call
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stable_sigmoid", "stable_softplus", "stable_log_sigmoid"]
+__all__ = ["stable_sigmoid", "stable_softplus"]
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -35,7 +35,3 @@ def stable_softplus(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
-
-def stable_log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """``log(sigmoid(x)) == -softplus(-x)``, overflow-safe."""
-    return -stable_softplus(-np.asarray(x))

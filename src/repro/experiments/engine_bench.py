@@ -1,6 +1,6 @@
 """Propagation-engine benchmarks: backends, fused kernels, dtypes, threads.
 
-Eleven sweeps, each answering one question about the engine's hot path:
+Ten sweeps, each answering one question about the engine's hot path:
 
 * :func:`run_engine_throughput` — DGNN epochs/sec per kernel backend
   (``naive`` loop oracle vs ``fast`` vectorized CSR vs ``threaded``
@@ -41,13 +41,6 @@ Eleven sweeps, each answering one question about the engine's hot path:
   rate and exact serving queries/sec — while asserting in-bench that
   blocked results are bitwise equal to flat and that top-k id sets are
   invariant under relabeling.
-* :func:`run_compile_bench` — sweep 11, the step compiler: eager
-  training-step throughput vs :class:`repro.autograd.CompiledStepper`
-  replay (arena-planned schedule, dead-branch pruning) with and without
-  the fused ``bpr_tail`` kernels, on same-seeded model clones stepping
-  one fixed batch; each compiled arm's replayed step is checked bitwise
-  against eager (loss + every parameter gradient) and records its plan
-  statistics next to the step rate.
 * :func:`run_parallel_bench` — sweep 9, multi-process shared-memory
   training: epoch rate and fleet-wide peak PSS vs worker count for both
   ``hogwild`` and ``sync`` update modes, each arm in its own subprocess,
@@ -137,7 +130,6 @@ class EngineBenchResults:
     serving: Dict[str, object] = field(default_factory=dict)
     parallel: Dict[str, object] = field(default_factory=dict)
     locality: Dict[str, object] = field(default_factory=dict)
-    compile: Dict[str, object] = field(default_factory=dict)
     production_dtype: str = PRODUCTION_DTYPE
 
     @property
@@ -300,30 +292,6 @@ class EngineBenchResults:
                     f"  best: {best.get('arm')} "
                     f"{best.get('propagation_speedup_over_flat', 0.0):.2f}x "
                     f"propagation over the flat identity oracle")
-        if self.compile:
-            lines.append(
-                f"compile ({self.compile.get('model', '?')}, "
-                f"d={self.compile.get('embed_dim', 0)}, "
-                f"batch {self.compile.get('batch_size', 0)}):")
-            arms = self.compile.get("arms", {})
-            if isinstance(arms, dict):
-                for name in sorted(arms):
-                    stats = arms[name]
-                    if not isinstance(stats, dict):
-                        continue
-                    piece = (f"  {name}: "
-                             f"{stats.get('steps_per_sec', 0.0):.2f} steps/s")
-                    if "speedup_over_eager" in stats:
-                        piece += (
-                            f" ({stats['speedup_over_eager']:.2f}x over "
-                            f"eager, parity "
-                            f"{'ok' if stats.get('parity_ok') else 'FAIL'})")
-                    lines.append(piece)
-            best = self.compile.get("best")
-            if isinstance(best, dict):
-                lines.append(
-                    f"  best: {best.get('arm')} "
-                    f"{best.get('speedup_over_eager', 0.0):.2f}x over eager")
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
@@ -342,7 +310,6 @@ class EngineBenchResults:
             "serving": self.serving,
             "parallel": self.parallel,
             "locality": self.locality,
-            "compile": self.compile,
         }
 
     def write_json(self, path: Path, preset: Optional[str] = None) -> Path:
@@ -1581,216 +1548,6 @@ def run_locality_bench(
     return section
 
 
-# Tuned step-compiler sweep knobs per preset.  The compiler removes two
-# per-step costs: Python graph reconstruction (~460 closures for a
-# two-layer DGNN — visible at tiny/medium, where the default dims run)
-# and the eager backward's ``_grad_copy``/``_accumulate`` buffer churn,
-# which scales with tensor width and dominates once per-op buffers
-# reach tens of MB.  At ``large`` the paper-default DGNN dims show
-# neither regime — the step is ~85% memory-mixture kernel time that
-# both arms share bitwise (measured ~1.1x) — so, mirroring the
-# locality sweep's widened ``embed_dim`` at this preset, the large arm
-# runs the wide-embedding LightGCN step where the planner's in-place
-# accumulation and fixed slots carry the claim.  The width is 768, not
-# the locality sweep's 512: a 16k-node float32 table at 512 is exactly
-# 32 MiB — glibc's maximum dynamic mmap threshold — so eager's copy
-# buffers flip between heap reuse (fast) and mmap/fault churn (slow)
-# run to run; at 768 (48 MiB) they are always above the threshold and
-# the eager baseline is stable.  ``xlarge`` keeps the DGNN step itself
-# (slimmed dims so a step fits the timing budget); its 1M-node tables
-# put even embed_dim=8 buffers in the copy-bound regime.  The
-# acceptance floor binds at ``large``.
-_COMPILE_TUNED = {
-    "large": dict(model_name="lightgcn", embed_dim=768,
-                  repeats=9, steps_per_round=2),
-    "xlarge": dict(embed_dim=8, model_kwargs=dict(num_memory_units=2),
-                   repeats=3, steps_per_round=1, batch_size=4096),
-}
-
-_COMPILE_ARM_OPTIONS = {
-    "compiled": dict(fuse=False, arena=True, prune=True),
-    "compiled_fused": dict(fuse=True, arena=True, prune=True),
-}
-
-
-def run_compile_bench(
-        preset: str = "medium",
-        model_name: str = "dgnn",
-        embed_dim: int = 16,
-        num_layers: int = 2,
-        batch_size: int = 1024,
-        l2: float = 1e-4,
-        steps_per_round: int = 4,
-        repeats: int = 7,
-        seed: int = 0,
-        model_kwargs: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """Sweep 11 — eager vs step-compiled training-step throughput.
-
-    Three arms run the identical forward+backward step (no optimizer
-    update, so parameters — and therefore every step's work — stay
-    fixed) on the same batch against same-seeded model clones:
-
-    * ``eager`` — the regular ``bpr_loss(...)`` + ``backward()`` pair,
-      rebuilding the autograd graph every step;
-    * ``compiled`` — :class:`repro.autograd.CompiledStepper` replaying
-      the recorded :class:`~repro.autograd.compile.StepPlan` with arena
-      slot planning and dead-branch pruning, fusion off;
-    * ``compiled_fused`` — the same plus the fused ``bpr_tail``
-      forward/backward kernels.
-
-    Before any timing, each compiled arm's *replayed* step is checked
-    bitwise against the eager arm — loss equality and ``array_equal``
-    on every parameter gradient — and the verdict is recorded as the
-    arm's ``parity_ok`` flag, which ``check_regression.py`` enforces
-    unconditionally.  Timing rounds are interleaved across arms (each
-    round times ``steps_per_round`` steps per arm back to back), and
-    the recorded ``speedup_over_eager`` is the median of paired
-    per-round ratios, the same drift-cancelling estimate the locality
-    sweep uses.  ``dgnn`` runs with ``message_dropout=0.0`` so all
-    arms' steps are deterministic and the parity check is exact.
-
-    Each compiled arm also records its plan statistics (op counts,
-    fused/pruned steps, arena slots and planned bytes, replay counters)
-    so regressions in plan shape are visible next to the throughput.
-    """
-    from repro.data.split import leave_last_out, leave_one_out
-    from repro.data.synthetic import PRESETS
-    from repro.engine import arena
-    from repro.engine.precision import get_dtype
-    from repro.autograd.compile import CompiledStepper, PlanOptions
-    from repro.graph.hetero import CollaborativeHeteroGraph
-
-    dataset = PRESETS[preset](seed)
-    if preset == "xlarge":
-        split = leave_last_out(dataset, max_test_users=2000, seed=seed)
-    else:
-        split = leave_one_out(dataset, seed=seed)
-    graph = CollaborativeHeteroGraph(split.dataset, split.train_pairs)
-    batch_rng = np.random.default_rng(seed + 1)
-    users = batch_rng.integers(0, graph.num_users, size=batch_size,
-                               dtype=np.int64)
-    positives = batch_rng.integers(0, graph.num_items, size=batch_size,
-                                   dtype=np.int64)
-    negatives = batch_rng.integers(0, graph.num_items, size=batch_size,
-                                   dtype=np.int64)
-
-    extra_kwargs = dict(model_kwargs or {})
-    model_kwargs = dict(num_layers=num_layers, **extra_kwargs)
-    if model_name == "dgnn":
-        model_kwargs["message_dropout"] = 0.0
-
-    def make_model():
-        model = create_model(model_name, graph, embed_dim=embed_dim,
-                             seed=seed, **model_kwargs)
-        model.train()
-        return model
-
-    def clear_grads(model):
-        for param in model.parameters():
-            param.grad = None
-
-    section: Dict[str, object] = {
-        "model": model_name,
-        "embed_dim": int(embed_dim),
-        "num_layers": int(num_layers),
-        "batch_size": int(batch_size),
-        "steps_per_round": int(steps_per_round),
-        "repeats": int(repeats),
-        "model_kwargs": {key: value for key, value in extra_kwargs.items()},
-        "dtype": np.dtype(get_dtype()).name,
-        "arms": {},
-    }
-
-    with use_backend("fast"):
-        # Reference step: eager loss + per-parameter gradients, the
-        # bitwise target every compiled arm must reproduce.
-        eager_model = make_model()
-        clear_grads(eager_model)
-        with arena.step_scope():
-            loss = eager_model.bpr_loss(users, positives, negatives, l2=l2)
-            loss.backward()
-            reference_loss = loss.item()
-            del loss
-        reference_grads = {
-            name: param.grad.copy()
-            for name, param in eager_model.named_parameters()
-            if param.grad is not None}
-
-        arm_states: Dict[str, Dict[str, object]] = {
-            "eager": dict(model=eager_model, stepper=None)}
-        for arm, options in _COMPILE_ARM_OPTIONS.items():
-            model = make_model()
-            stepper = CompiledStepper(model, l2=l2,
-                                      options=PlanOptions(**options))
-            # Record once, then verify one *replayed* step bitwise.
-            for _ in range(2):
-                clear_grads(model)
-                with arena.step_scope():
-                    value = stepper.step(users, positives, negatives)
-            grads = {name: param.grad
-                     for name, param in model.named_parameters()
-                     if param.grad is not None}
-            parity_ok = (
-                stepper.disabled_reason is None
-                and stepper.stats["replayed"] >= 1
-                and value == reference_loss
-                and set(grads) == set(reference_grads)
-                and all(np.array_equal(grads[name], reference_grads[name])
-                        for name in reference_grads))
-            arm_states[arm] = dict(model=model, stepper=stepper,
-                                   parity_ok=parity_ok)
-
-        # Interleaved timing rounds: every arm sees the same slice of
-        # host drift, so paired per-round ratios isolate the compiler
-        # effect (see run_locality_bench for the estimator rationale).
-        steps = max(1, int(steps_per_round))
-        for _ in range(max(1, repeats)):
-            for state in arm_states.values():
-                model, stepper = state["model"], state["stepper"]
-                start = time.perf_counter()
-                for _ in range(steps):
-                    clear_grads(model)
-                    with arena.step_scope():
-                        if stepper is None:
-                            loss = model.bpr_loss(users, positives,
-                                                  negatives, l2=l2)
-                            loss.backward()
-                            loss.item()
-                            del loss
-                        else:
-                            stepper.step(users, positives, negatives)
-                state.setdefault("rounds", []).append(
-                    time.perf_counter() - start)
-
-    eager_rounds = arm_states["eager"]["rounds"]
-    best_arm: Optional[str] = None
-    best_speedup = 0.0
-    for arm, state in arm_states.items():
-        rounds = state["rounds"]
-        best = min(rounds)
-        stats: Dict[str, object] = {
-            "steps_per_sec": steps / best if best > 0 else 0.0,
-            "seconds_per_step": best / steps,
-            "round_seconds": [round(value, 6) for value in rounds],
-        }
-        if state["stepper"] is not None:
-            ratios = sorted(e / r for e, r in zip(eager_rounds, rounds)
-                            if r > 0)
-            speedup = float(np.median(ratios)) if ratios else 0.0
-            stats["speedup_over_eager"] = speedup
-            stats["parity_ok"] = bool(state["parity_ok"])
-            stats["plan"] = state["stepper"].plan_stats()
-            if speedup > best_speedup:
-                best_arm, best_speedup = arm, speedup
-        section["arms"][arm] = stats
-    if best_arm is not None:
-        section["best"] = {"arm": best_arm,
-                           "speedup_over_eager": best_speedup}
-    section["peak_rss_mb"] = _peak_rss_mb()
-    section["host_env"] = _host_env()
-    return section
-
-
 def merge_preset_section(path: Path, preset: str, name: str,
                          section: Dict[str, object]) -> Path:
     """Write one named section into ``presets[preset]`` of the artifact.
@@ -2026,7 +1783,6 @@ def run_engine_suite(
         serving_train_epochs: Optional[int] = None,
         parallel: bool = True,
         locality: bool = True,
-        compile_steps: bool = True,
         output_path: Optional[Path] = None) -> EngineBenchResults:
     """All engine sweeps on one shared context; optionally persisted.
 
@@ -2041,9 +1797,7 @@ def run_engine_suite(
     subprocess arms; skipped at ``xlarge``, where a per-arm training run
     would take hours).  ``locality`` controls sweep 10 (reorder ×
     blocked-spmm arms; full legs at the standard presets, a timing-only
-    propagation leg at ``xlarge``).  ``compile_steps`` controls sweep
-    11 (eager vs step-compiled training-step throughput with bitwise
-    parity flags; a lighter leg at ``xlarge``).
+    propagation leg at ``xlarge``).
     """
     if memory is None:
         memory = preset in ("large", "xlarge")
@@ -2067,11 +1821,6 @@ def run_engine_suite(
             with use_dtype(dtype):
                 results.locality = run_locality_bench(
                     preset=preset, embed_dim=128, repeats=5, seed=seed)
-        if compile_steps:
-            with use_dtype(dtype):
-                results.compile = run_compile_bench(
-                    preset=preset, seed=seed,
-                    **_COMPILE_TUNED.get(preset, {}))
         if output_path is not None:
             results.write_json(Path(output_path), preset=preset)
         return results
@@ -2115,11 +1864,6 @@ def run_engine_suite(
                 **_LOCALITY_TUNED.get(preset,
                                       dict(embed_dim=64, repeats=3,
                                            num_queries=1024)))
-    if compile_steps:
-        with use_dtype(dtype):
-            results.compile = run_compile_bench(
-                preset=preset, seed=seed,
-                **_COMPILE_TUNED.get(preset, {}))
     if output_path is not None:
         results.write_json(Path(output_path), preset=preset)
     return results

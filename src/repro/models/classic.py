@@ -63,7 +63,7 @@ class SoRec(Recommender):
         non_tie = ops.sum(ops.mul(user_vecs,
                                   ops.gather_rows(self.social_factor.all(), rand)),
                           axis=1)
-        social = ops.neg(ops.mean(ops.log_sigmoid(ops.sub(tie, non_tie))))
+        social = ops.bpr_tail(tie, non_tie)
         return ops.add(loss, ops.mul(Tensor(np.array(self.social_weight)), social))
 
 
@@ -108,5 +108,5 @@ class TrustMF(Recommender):
                                   ops.gather_rows(self.trustee_embedding.all(),
                                                   rand)),
                           axis=1)
-        trust = ops.neg(ops.mean(ops.log_sigmoid(ops.sub(tie, non_tie))))
+        trust = ops.bpr_tail(tie, non_tie)
         return ops.add(loss, ops.mul(Tensor(np.array(self.trust_weight)), trust))

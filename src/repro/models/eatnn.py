@@ -70,7 +70,7 @@ class EATNN(Recommender):
         n = ops.gather_rows(items, negatives)
         pos_scores = ops.sum(ops.mul(u, p), axis=1)
         neg_scores = ops.sum(ops.mul(u, n), axis=1)
-        loss = ops.neg(ops.mean(ops.log_sigmoid(ops.sub(pos_scores, neg_scores))))
+        loss = ops.bpr_tail(pos_scores, neg_scores)
         if l2 > 0:
             reg = ops.mean(ops.sum(u * u + p * p + n * n, axis=1))
             loss = ops.add(loss, ops.mul(Tensor(np.array(l2)), reg))
@@ -87,8 +87,7 @@ class EATNN(Recommender):
                                          ops.gather_rows(social_domain, dst)), axis=1)
             rand_scores = ops.sum(ops.mul(ops.gather_rows(social_domain, src),
                                           ops.gather_rows(social_domain, rand)), axis=1)
-            social_loss = ops.neg(ops.mean(
-                ops.log_sigmoid(ops.sub(tie_scores, rand_scores))))
+            social_loss = ops.bpr_tail(tie_scores, rand_scores)
             loss = ops.add(loss, ops.mul(Tensor(np.array(self.social_loss_weight)),
                                          social_loss))
         return loss

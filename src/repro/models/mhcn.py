@@ -111,7 +111,7 @@ class MHCN(Recommender):
                                   ops.gather_rows(summary, batch_users)), axis=1)
             other = ops.sum(ops.mul(ops.gather_rows(channel_emb, shuffled),
                                     ops.gather_rows(summary, batch_users)), axis=1)
-            ssl_terms.append(ops.neg(ops.mean(ops.log_sigmoid(ops.sub(own, other)))))
+            ssl_terms.append(ops.bpr_tail(own, other))
         ssl_loss = ssl_terms[0]
         for term in ssl_terms[1:]:
             ssl_loss = ops.add(ssl_loss, term)

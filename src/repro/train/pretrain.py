@@ -51,7 +51,7 @@ def _contrastive_loss(table, anchors, positives, randoms):
     anchor_emb = ops.gather_rows(table, anchors)
     tie = ops.sum(ops.mul(anchor_emb, ops.gather_rows(table, positives)), axis=1)
     non_tie = ops.sum(ops.mul(anchor_emb, ops.gather_rows(table, randoms)), axis=1)
-    return ops.neg(ops.mean(ops.log_sigmoid(ops.sub(tie, non_tie))))
+    return ops.bpr_tail(tie, non_tie)
 
 
 def pretrain_embeddings(graph: CollaborativeHeteroGraph, embed_dim: int = 16,

@@ -23,6 +23,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    def test_compile_accepts_only_off(self):
+        assert TrainConfig(compile=None).compile is None
+        assert TrainConfig(compile=False).compile is False
+        with pytest.raises(ValueError, match="step compiler was removed"):
+            TrainConfig(compile=True)
+
     def test_paper_hyperparameters_grid(self):
         hp = PaperHyperparameters()
         assert hp.embed_dim == 16
