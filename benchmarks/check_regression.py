@@ -85,7 +85,7 @@ _PARALLEL_KEYS = ("epochs_per_sec",)
 # update mode, but only when the recording host had at least
 # ``min_host_cpus`` usable cores — a wall-clock speedup is physically
 # impossible on a single-core host, so there the number is recorded as
-# context (like the thread sweep) and the floor is skipped.
+# context and the floor is skipped.
 _PARALLEL_FLOORS = {
     "large": {"pss_growth_max": 2.5, "speedup_min": 2.0, "min_host_cpus": 4},
 }
@@ -123,9 +123,8 @@ _LOCALITY_FLOORS = {
 # Per-preset sections the artifact is built from; used to report a
 # *missing* section (key absent) distinctly from one that was not run
 # (present but empty), which is normal for partial smoke refreshes.
-_SECTIONS = ("backends", "memory_kernel", "dtype_sweep", "thread_sweep",
-             "minibatch", "optimizer", "memory", "serving", "parallel",
-             "locality")
+_SECTIONS = ("backends", "memory_kernel", "dtype_sweep", "minibatch",
+             "optimizer", "memory", "serving", "parallel", "locality")
 
 
 def _presets(payload: Dict) -> Dict[str, Dict]:

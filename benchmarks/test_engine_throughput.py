@@ -1,9 +1,9 @@
-"""Engine benchmark: the full backend / kernel / dtype / thread suite.
+"""Engine benchmark: the full backend / kernel / dtype suite.
 
-Runs DGNN training on the ``medium`` synthetic profile under all three
+Runs DGNN training on the ``medium`` synthetic profile under both
 kernel backends, times the fused memory-mixture kernel against the
-unfused composition, sweeps the engine dtype and the threaded-spmm
-worker count, compares full-graph vs sampled-minibatch training, and
+unfused composition, sweeps the engine dtype, compares full-graph vs
+sampled-minibatch training, and
 publishes the table plus the per-preset section of
 ``BENCH_engine.json`` at the repository root.  Scale follows
 ``REPRO_BENCH_MODE`` like every other benchmark (smoke → tiny dataset,
@@ -57,7 +57,7 @@ def test_engine_throughput():
         output_path=REPO_ROOT / "BENCH_engine.json", **scale)
     publish("bench_engine", results.render())
 
-    assert set(results.backends) == {"naive", "fast", "threaded"}
+    assert set(results.backends) == {"naive", "fast", "host_env"}
     # The vectorized backend must beat the Python-loop oracle at any
     # scale where kernel work is non-trivial.
     assert results.speedup > 1.0

@@ -49,7 +49,6 @@ from repro.experiments.engine_bench import (
     run_engine_throughput,
     run_memory_kernel_bench,
     run_minibatch_bench,
-    run_thread_sweep,
 )
 from repro.experiments.embedding_viz import (
     EmbeddingVizResults,
@@ -84,7 +83,6 @@ __all__ = [
     "run_engine_throughput",
     "run_minibatch_bench",
     "run_memory_kernel_bench",
-    "run_thread_sweep",
     "EmbeddingVizResults",
     "run_embedding_visualization",
     "MemoryVizResults",

@@ -1,18 +1,15 @@
-"""Propagation-engine benchmarks: backends, fused kernels, dtypes, threads.
+"""Propagation-engine benchmarks: backends, fused kernels, dtypes, serving.
 
-Ten sweeps, each answering one question about the engine's hot path:
+Nine sweeps, each answering one question about the engine's hot path:
 
 * :func:`run_engine_throughput` — DGNN epochs/sec per kernel backend
-  (``naive`` loop oracle vs ``fast`` vectorized CSR vs ``threaded``
-  row-block-parallel spmm), with the engine's own instrumentation for
-  the operation-level numbers.
+  (``naive`` loop oracle vs ``fast`` vectorized CSR), with the engine's
+  own instrumentation for the operation-level numbers.
 * :func:`run_memory_kernel_bench` — forward+backward seconds of the
   fused ``memory_mixture`` kernel against the generic five-op
   composition it replaced, on the full DGNN BPR step.
 * :func:`run_dtype_sweep` — epochs/sec under the ``float64`` default vs
   the opt-in ``float32`` precision policy.
-* :func:`run_thread_sweep` — spmm wall time of the threaded backend at
-  several worker counts (informational on single-core hosts).
 * :func:`run_minibatch_bench` — full-graph vs sampled-minibatch training
   throughput at several fan-outs (prefetch on), plus a micro-benchmark
   of the vectorized ``expand_neighborhood`` against its loop oracle.
@@ -79,14 +76,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.engine import get_cache, instrument, use_backend, use_dtype
-from repro.engine.backends import ThreadedBackend
 from repro.engine.precision import tolerances
 from repro.experiments.common import ExperimentContext, default_train_config
 from repro.models import create_model
 from repro.models.memory import use_fused_memory
 from repro.train import Trainer
 
-BACKENDS = ("naive", "fast", "threaded")
+BACKENDS = ("naive", "fast")
 
 PRODUCTION_DTYPE = "float32"
 
@@ -116,14 +112,13 @@ def _peak_rss_mb() -> float:
 
 @dataclass
 class EngineBenchResults:
-    """Throughput, kernel, dtype and thread numbers for one preset."""
+    """Throughput, kernel, dtype and serving numbers for one preset."""
 
     dataset_name: str
     epochs: int
     backends: Dict[str, Dict[str, float]] = field(default_factory=dict)
     memory_kernel: Dict[str, float] = field(default_factory=dict)
     dtype_sweep: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    thread_sweep: Dict[str, float] = field(default_factory=dict)
     minibatch: Dict[str, Dict[str, float]] = field(default_factory=dict)
     optimizer: Dict[str, Dict[str, float]] = field(default_factory=dict)
     memory: Dict[str, object] = field(default_factory=dict)
@@ -174,11 +169,6 @@ class EngineBenchResults:
                       for name, stats in self.dtype_sweep.items()
                       if name != "host_env"]
             lines.append("dtype sweep: " + ", ".join(pieces))
-        if self.thread_sweep:
-            pieces = [f"{workers}w {seconds*1e3:.2f} ms"
-                      for workers, seconds in self.thread_sweep.items()
-                      if workers not in ("peak_rss_mb", "host_env")]
-            lines.append("threaded spmm: " + ", ".join(pieces))
         if self.minibatch:
             full = self.minibatch.get("full", {})
             if full:
@@ -303,7 +293,6 @@ class EngineBenchResults:
             "speedup_fast_over_naive": self.speedup,
             "memory_kernel": self.memory_kernel,
             "dtype_sweep": self.dtype_sweep,
-            "thread_sweep": self.thread_sweep,
             "minibatch": self.minibatch,
             "optimizer": self.optimizer,
             "memory": self.memory,
@@ -491,38 +480,6 @@ def run_dtype_sweep(
                            default=0.0),
             "peak_rss_mb": _peak_rss_mb(),
         }
-    sweep["host_env"] = _host_env()
-    return sweep
-
-
-def run_thread_sweep(
-        preset: str = "medium",
-        embed_dim: int = 16,
-        repeats: int = 5,
-        workers: Sequence[int] = (1, 2, 4),
-        seed: int = 0,
-        context: Optional[ExperimentContext] = None) -> Dict[str, float]:
-    """Threaded-spmm wall time on the joint adjacency at worker counts.
-
-    Times the raw kernel (best of ``repeats``) rather than a training
-    run, so the measurement isolates the spmm itself.  On single-core
-    hosts this documents the dispatch overhead rather than a speedup.
-    """
-    if context is None:
-        context = ExperimentContext.build(preset, seed=seed, num_negatives=50)
-    matrix = context.graph.bipartite_norm
-    rng = np.random.default_rng(seed)
-    dense = rng.standard_normal((matrix.shape[1], embed_dim))
-    sweep: Dict[str, float] = {}
-    for count in workers:
-        backend = ThreadedBackend(workers=count, min_parallel_nnz=0)
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            backend._spmm(matrix, dense)
-            best = min(best, time.perf_counter() - start)
-        sweep[str(count)] = best
-    sweep["peak_rss_mb"] = _peak_rss_mb()
     sweep["host_env"] = _host_env()
     return sweep
 
@@ -1838,8 +1795,6 @@ def run_engine_suite(
             preset=preset, epochs=1, batches_per_epoch=batches_per_epoch,
             batch_size=batch_size, embed_dim=embed_dim, num_layers=num_layers,
             seed=seed, context=context)
-        results.thread_sweep = run_thread_sweep(
-            preset=preset, embed_dim=embed_dim, seed=seed, context=context)
         results.minibatch = run_minibatch_bench(
             preset=preset, epochs=epochs, batches_per_epoch=batches_per_epoch,
             batch_size=batch_size, embed_dim=embed_dim, num_layers=num_layers,

@@ -3,8 +3,7 @@
 Three levels: raw kernels (forward values), autograd ops built on them
 (gradients, including finite-difference checks), and end-to-end models
 (final embeddings, loss values and one full Adam step for DGNN plus four
-baselines).  ``threaded`` inherits all fast kernels and overrides spmm
-with a row-block-parallel version, so it runs the same gauntlet.
+baselines).
 """
 
 import numpy as np
@@ -19,11 +18,10 @@ from repro.engine import (
     tolerances,
     use_backend,
 )
-from repro.engine.backends import ThreadedBackend
 from repro.models import create_model
 from repro.nn.optim import Adam
 
-ALL_BACKENDS = ("naive", "fast", "threaded")
+ALL_BACKENDS = ("naive", "fast")
 PARITY_MODELS = ("dgnn", "lightgcn", "ngcf", "diffnet", "mhcn")
 
 
@@ -43,7 +41,7 @@ def _random_csr(rng, rows, cols, density=0.2):
 class TestKernelParity:
     def test_registry_contains_all(self):
         names = set(available_backends())
-        assert {"naive", "fast", "threaded"} <= names
+        assert {"naive", "fast"} <= names
 
     def test_use_backend_restores(self):
         before = get_backend().name
@@ -65,20 +63,6 @@ class TestKernelParity:
         for name in ALL_BACKENDS[1:]:
             np.testing.assert_allclose(outputs["naive"], outputs[name],
                                        atol=1e-12, err_msg=name)
-
-    def test_threaded_spmm_uses_row_blocks(self, rng):
-        """Force the pool on and check block results match the plain product."""
-        matrix = _random_csr(rng, 64, 40, density=0.3)
-        dense = rng.normal(size=(40, 6))
-        backend = ThreadedBackend(workers=3, min_parallel_nnz=0)
-        np.testing.assert_array_equal(backend._spmm(matrix, dense),
-                                      matrix @ dense)
-
-    def test_threaded_row_blocks_cover_all_rows(self, rng):
-        matrix = _random_csr(rng, 50, 20, density=0.15)
-        bounds = ThreadedBackend._row_blocks(matrix.indptr, 4)
-        assert bounds[0] == 0 and bounds[-1] == matrix.shape[0]
-        assert np.all(np.diff(bounds) > 0)
 
     def test_gathered_rowwise_dot_parity(self, rng):
         a = rng.normal(size=(9, 6))

@@ -5,7 +5,7 @@ Covers the tentpole guarantees:
 * the fused op matches the unfused five-op composition it replaced,
   forward and backward, on the real :class:`MemoryBank` module;
 * finite-difference gradcheck of the fused op w.r.t. all three inputs;
-* naive / fast / threaded backends agree on the kernel at both engine
+* naive / fast backends agree on the kernel at both engine
   dtypes, to dtype-derived tolerances;
 * the fused path cuts the autograd graph down to one node per mixture
   and shows up in kernel instrumentation.
@@ -23,7 +23,7 @@ from repro.models.memory import (
     use_fused_memory,
 )
 
-ALL_BACKENDS = ("naive", "fast", "threaded")
+ALL_BACKENDS = ("naive", "fast")
 
 
 def _inputs(rng, n=10, d=6, units=4, dtype=np.float64):

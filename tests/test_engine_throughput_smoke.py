@@ -3,7 +3,7 @@
 The full-size comparison lives in ``benchmarks/test_engine_throughput.py``
 and writes the repository-root ``BENCH_engine.json``; this test runs the
 identical harness at tiny scale into a temporary file, so every tier-1 run
-re-validates the naive/fast/threaded plumbing and the per-preset
+re-validates the naive/fast plumbing and the per-preset
 merge-on-write semantics of the artifact without touching the committed
 numbers.  The minibatch harness gets the same treatment, plus the one
 medium-scale check worth its build time: the vectorized neighbourhood
@@ -31,9 +31,9 @@ def test_engine_throughput_smoke(tmp_path):
 
     # Every sweep section carries the recording host context alongside
     # its per-backend stats.
-    assert set(results.backends) == {"naive", "fast", "threaded", "host_env"}
+    assert set(results.backends) == {"naive", "fast", "host_env"}
     assert "numpy" in results.backends["host_env"]
-    for name in ("naive", "fast", "threaded"):
+    for name in ("naive", "fast"):
         stats = results.backends[name]
         assert stats["epochs_per_sec"] > 0
         assert stats["calls.spmm"] > 0
@@ -41,8 +41,7 @@ def test_engine_throughput_smoke(tmp_path):
     # Identical workload under all backends: same kernel call counts.
     for key in ("calls.spmm", "calls.memory_mixture"):
         assert (results.backends["naive"][key]
-                == results.backends["fast"][key]
-                == results.backends["threaded"][key])
+                == results.backends["fast"][key])
 
     payload = json.loads(output.read_text())
     assert set(payload["presets"]) == {"tiny"}
