@@ -51,8 +51,8 @@ _OPTIMIZER_KEYS = ("epochs_per_sec", "speedup_over_dense",
 # committed artifact and in any fresh re-bench that runs the sweep.
 _LAZY_SPEEDUP_FLOORS = {"large": 2.0}
 # Serving-section (sweep 8) per-arm metrics: request throughput and the
-# ANN arms' speedup over the exact arm.
-_SERVING_ARMS = ("exact", "ivf", "lsh")
+# IVF arm's speedup over the exact arm.
+_SERVING_ARMS = ("exact", "ivf")
 _SERVING_KEYS = ("queries_per_sec", "speedup_over_exact")
 # Hard floors on the sweep-8 ANN serving path: at these presets the best
 # ANN arm must beat exact scoring by the given throughput factor while
@@ -264,8 +264,8 @@ def compare(baseline: Dict, fresh: Dict,
                 if not isinstance(best, dict):
                     problems.append(
                         f"{preset}/serving ({label}): section has no 'best' "
-                        f"ANN summary — run the serving sweep with at least "
-                        f"one ANN arm (ivf/lsh) so the floors can be checked")
+                        f"ANN summary — run the serving sweep with the ivf "
+                        f"arm so the floors can be checked")
                     continue
                 for key, floor in serving_floors.items():
                     value = best.get(key)

@@ -7,7 +7,7 @@ Commands
 ``compare``    run several models under the identical protocol (mini Table II)
 ``experiment`` regenerate one paper artifact (table1..4, fig4..10)
 ``generate``   write a synthetic dataset to disk (.npz or text directory)
-``serve-bench`` run the sweep-8 serving A/B (exact vs IVF vs LSH retrieval)
+``serve-bench`` run the sweep-8 serving A/B (exact vs IVF retrieval)
 ``parallel-bench`` run the sweep-9 multi-process training sweep
 ``locality-bench`` run the sweep-10 reorder × blocked-spmm locality sweep
 """
@@ -136,8 +136,7 @@ def _cmd_serve_bench(args) -> int:
         section = run_serving_bench(
             preset=args.preset, k=args.k, block_size=args.block_size,
             num_queries=args.num_queries, train_epochs=args.train_epochs,
-            nprobe=args.nprobe, num_cells=args.num_cells,
-            num_bits=args.num_bits, seed=args.seed)
+            nprobe=args.nprobe, num_cells=args.num_cells, seed=args.seed)
     rendered = EngineBenchResults(dataset_name=args.preset, epochs=0)
     rendered.serving = section
     lines = rendered.render().splitlines()
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve-bench",
-        help="sweep-8 serving A/B: exact vs IVF vs LSH retrieval")
+        help="sweep-8 serving A/B: exact vs IVF retrieval")
     serve.add_argument("--preset", default="medium", choices=sorted(PRESETS))
     serve.add_argument("--k", type=int, default=20)
     serve.add_argument("--block-size", type=int, default=512)
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--nprobe", type=int, default=8)
     serve.add_argument("--num-cells", type=int, default=None,
                        help="IVF cells (default ~sqrt(num_items))")
-    serve.add_argument("--num-bits", type=int, default=7)
     serve.add_argument("--dtype", default="float32",
                        choices=["float32", "float64"])
     serve.add_argument("--seed", type=int, default=0)

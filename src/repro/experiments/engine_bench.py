@@ -26,7 +26,7 @@ Nine sweeps, each answering one question about the engine's hot path:
 * :func:`run_serving_bench` — sweep 8, the online-serving A/B: publish
   an :class:`repro.serve.EmbeddingSnapshot`, reload it memory-mapped,
   and drive batched ``recommend`` requests through each retrieval mode
-  (``exact`` / ``ivf`` / ``lsh``), recording queries/sec, block-level
+  (``exact`` / ``ivf``), recording queries/sec, block-level
   p50/p99 latency and recall@k against the exact arm.  At ``xlarge``
   the entry is timing-only (untrained embeddings carry no cluster
   structure for ANN recall to exploit).
@@ -217,7 +217,7 @@ class EngineBenchResults:
         if self.serving:
             k = self.serving.get("k", 0)
             lines.append(f"serving (top-{k}):")
-            for arm in ("exact", "ivf", "lsh"):
+            for arm in ("exact", "ivf"):
                 stats = self.serving.get(arm)
                 if not isinstance(stats, dict) or not stats:
                     continue
@@ -1566,7 +1566,6 @@ def run_serving_bench(
         num_layers: int = 2,
         nprobe: int = 8,
         num_cells: Optional[int] = None,
-        num_bits: int = 7,
         repeats: int = 3,
         seed: int = 0,
         timing_only: Optional[bool] = None,
@@ -1579,13 +1578,14 @@ def run_serving_bench(
     users (drawn uniformly with ``seed``) stream through
     ``recommend(block, k)`` in ``block_size`` blocks under an arena
     step scope, best-of-``repeats`` per block; the section records
-    queries/sec, block p50/p99 latency, and — for the ANN arms — the
+    queries/sec, block p50/p99 latency, and — for the IVF arm — the
     index build time, recall@k against the exact arm and the
-    exact-fallback row count.
+    exact-fallback row count.  The ``best`` entry summarizes the IVF
+    arm for the serving floors in ``check_regression.py``.
 
-    ``train_epochs`` matters for the ANN arms: k-means cells (and LSH
-    buckets) only align with user preferences once training has pulled
-    co-consumed items together, so the recall floor at ``large`` is
+    ``train_epochs`` matters for the IVF arm: k-means cells only align
+    with user preferences once training has pulled co-consumed items
+    together, so the recall floor at ``large`` is
     benched on briefly trained embeddings — the serving-realistic
     setting, since nobody snapshots an untrained model.  At ``xlarge``
     the sweep is timing-only (untrained 1M-node embeddings, recall
@@ -1659,7 +1659,6 @@ def run_serving_bench(
         arm_kwargs = {
             "exact": {},
             "ivf": {"nprobe": nprobe, "num_cells": num_cells},
-            "lsh": {"nprobe": nprobe, "num_bits": num_bits},
         }
         topk: Dict[str, np.ndarray] = {}
         for arm, kwargs in arm_kwargs.items():
@@ -1686,11 +1685,6 @@ def run_serving_bench(
             if arm == "ivf":
                 stats["num_cells"] = float(service.index.num_cells)
                 stats["nprobe"] = float(service.nprobe)
-            elif arm == "lsh":
-                stats["num_bits"] = float(num_bits)
-                stats["num_cells"] = float(service.index.num_cells)
-                stats["nprobe"] = float(service.nprobe)
-            if arm != "exact":
                 stats["fallback_rows"] = float(
                     service.stats["fallback_rows"]
                     / max(1, service.stats["users"]) * num_queries)
@@ -1701,24 +1695,12 @@ def run_serving_bench(
                     if exact_qps > 0 else float("inf"))
             section[arm] = stats
 
-    candidates_best = [
-        (name, section[name]) for name in ("ivf", "lsh")
-        if isinstance(section.get(name), dict)]
-    if candidates_best:
-        # Best = fastest among arms that hold the recall floor; if none
-        # does, the highest-recall arm (so the gate fails on recall, not
-        # on a vacuous speedup).
-        holding = [(n, s) for n, s in candidates_best
-                   if s.get("recall_at_k", 0.0) >= 0.95]
-        pool = holding or candidates_best
-        name, stats = max(pool, key=lambda pair: (
-            pair[1].get("speedup_over_exact", 0.0)
-            if holding else pair[1].get("recall_at_k", 0.0)))
-        section["best"] = {
-            "arm": name,
-            "speedup_over_exact": stats.get("speedup_over_exact", 0.0),
-            "recall_at_k": stats.get("recall_at_k", 0.0),
-        }
+    ivf = section["ivf"]
+    section["best"] = {
+        "arm": "ivf",
+        "speedup_over_exact": ivf["speedup_over_exact"],
+        "recall_at_k": ivf["recall_at_k"],
+    }
     section["peak_rss_mb"] = _peak_rss_mb()
     section["host_env"] = _host_env()
     return section
