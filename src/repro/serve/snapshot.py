@@ -311,7 +311,16 @@ class SnapshotStore:
         """Persist ``snapshot`` as the next version and move LATEST.
 
         Returns the assigned version name (also set on the snapshot).
+        Raises ``ValueError`` before writing anything when an embedding
+        table holds a NaN or infinity, naming the table and its first
+        non-finite row, so a diverged model never reaches serving.
         """
+        for table in ("user_emb", "item_emb"):
+            finite = np.isfinite(getattr(snapshot, table)).all(axis=1)
+            if not finite.all():
+                row = int(np.flatnonzero(~finite)[0])
+                raise ValueError(
+                    f"refusing to publish: {table} row {row} is not finite")
         versions = self.versions()
         next_number = (int(versions[-1][1:]) + 1) if versions else 1
         while True:

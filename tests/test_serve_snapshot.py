@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine.precision import use_dtype
 from repro.eval.full_ranking import full_ranking_topk
+from repro.models import BprMF
 from repro.models.lightgcn import LightGCN
 from repro.serve import (
     EmbeddingSnapshot,
@@ -123,6 +124,23 @@ class TestIntegrity:
         leftovers = [p.name for p in tmp_path.iterdir()
                      if p.name.startswith(".staging")]
         assert leftovers == []
+
+    def test_non_finite_embeddings_are_not_published(self, tiny_graph,
+                                                     tiny_split, tmp_path):
+        # BprMF serves its tables as-is, so the planted NaN stays in one
+        # item row instead of spreading through propagation.
+        model = BprMF(tiny_graph, embed_dim=8, seed=0)
+        store = SnapshotStore(tmp_path)
+        store.publish(EmbeddingSnapshot.from_model(model, tiny_split))
+        model.item_embedding.weight.data[3, 1] = np.nan
+        model.invalidate_cache()
+        diverged = EmbeddingSnapshot.from_model(model, tiny_split)
+        with pytest.raises(ValueError, match="item_emb row 3 "):
+            store.publish(diverged)
+        assert store.latest_version() == "v000001"
+        assert store.versions() == ["v000001"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "LATEST", "v000001"]
 
 
 class TestServingParity:
