@@ -654,7 +654,7 @@ def bpr_tail(pos_scores, neg_scores) -> Tensor:
     def factory(out: Tensor):
         def backward():
             grad_pos, grad_neg = get_backend().bpr_tail_backward(
-                diff, out.grad, diff.size)
+                diff, out.grad)
             pos_scores._accumulate(grad_pos)
             neg_scores._accumulate(grad_neg)
 

@@ -249,19 +249,18 @@ class KernelBackend:
             flops=8.0 * n, bytes_moved=4.0 * n * item)
         return loss, diff
 
-    def bpr_tail_backward(self, diff: np.ndarray, upstream: np.ndarray,
-                          count: int) -> Tuple[np.ndarray, np.ndarray]:
+    def bpr_tail_backward(self, diff: np.ndarray, upstream: np.ndarray
+                          ) -> Tuple[np.ndarray, np.ndarray]:
         """Backward of :meth:`bpr_tail`.
 
-        ``upstream`` is the (0-d) gradient flowing into the loss value;
-        ``count`` the mean's denominator.  Returns ``(grad_pos,
-        grad_neg) = (-ga, ga)`` with ``ga = (upstream / count) ·
-        sigmoid(neg - pos)`` — the ``sigmoid·(1−sigmoid)``-family tail
-        collapsed to a single stable sigmoid, bitwise-identical to the
-        op chain's backward closures.
+        ``upstream`` is the (0-d) gradient flowing into the loss value.
+        Returns ``(grad_pos, grad_neg) = (-ga, ga)`` with
+        ``ga = (upstream / diff.size) · sigmoid(neg - pos)`` — the
+        ``sigmoid·(1−sigmoid)``-family tail collapsed to a single stable
+        sigmoid, bitwise-identical to the op chain's backward closures.
         """
         start = time.perf_counter()
-        grads = self._bpr_tail_backward(diff, upstream, count)
+        grads = self._bpr_tail_backward(diff, upstream)
         n = float(diff.size)
         item = diff.dtype.itemsize
         counters().record_kernel(
@@ -298,7 +297,7 @@ class KernelBackend:
     def _bpr_tail(self, pos_scores, neg_scores):
         raise NotImplementedError
 
-    def _bpr_tail_backward(self, diff, upstream, count):
+    def _bpr_tail_backward(self, diff, upstream):
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -376,10 +375,10 @@ class NaiveBackend(KernelBackend):
         loss = np.negative(np.mean(log_sig))
         return np.asarray(loss), diff
 
-    def _bpr_tail_backward(self, diff, upstream, count):
+    def _bpr_tail_backward(self, diff, upstream):
         # One op-chain backward closure per line, in closure order.
         mean_grad = np.negative(upstream)                    # final neg
-        log_sig_grad = np.broadcast_to(mean_grad / count,    # mean
+        log_sig_grad = np.broadcast_to(mean_grad / diff.size,  # mean
                                        diff.shape)
         softplus_grad = np.negative(log_sig_grad)            # inner neg
         neg_diff = np.negative(diff)
@@ -552,11 +551,11 @@ class FastBackend(KernelBackend):
         loss = work.mean()
         return np.asarray(loss), diff
 
-    def _bpr_tail_backward(self, diff, upstream, count):
+    def _bpr_tail_backward(self, diff, upstream):
         sig = stable_sigmoid(np.negative(diff))
-        # (upstream / count) == -((-upstream) / count) bitwise, so the
-        # chain's double negation collapses to one scalar division.
-        scale = np.true_divide(upstream, count)
+        # (upstream / n) == -((-upstream) / n) bitwise, so the chain's
+        # double negation collapses to one scalar division.
+        scale = np.true_divide(upstream, diff.size)
         grad_neg = np.multiply(sig, scale, out=sig)
         return np.negative(grad_neg), grad_neg
 

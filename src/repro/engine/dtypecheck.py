@@ -131,10 +131,10 @@ class DtypeCheckingBackend(KernelBackend):
         _check("bpr_tail", "diff", diff)
         return loss, diff
 
-    def _bpr_tail_backward(self, diff, upstream, count):
+    def _bpr_tail_backward(self, diff, upstream):
         _check("bpr_tail_backward", "diff", diff)
         _check("bpr_tail_backward", "upstream", upstream)
-        grads = self.inner._bpr_tail_backward(diff, upstream, count)
+        grads = self.inner._bpr_tail_backward(diff, upstream)
         for role, grad in zip(("grad_pos", "grad_neg"), grads):
             _check("bpr_tail_backward", role, grad)
         return grads
