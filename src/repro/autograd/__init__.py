@@ -32,6 +32,7 @@ from repro.autograd.ops import (
     cat,
     exp,
     gather_rows,
+    layer_norm,
     leaky_relu,
     log,
     log_sigmoid,
@@ -76,6 +77,7 @@ __all__ = [
     "maximum",
     "where",
     "relu",
+    "layer_norm",
     "leaky_relu",
     "sigmoid",
     "tanh",

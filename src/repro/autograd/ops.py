@@ -13,16 +13,22 @@ The op set is grouped as:
 * reductions — ``sum``, ``mean``
 * indexing / graph — ``gather_rows``, ``gathered_rowwise_dot``,
   ``segment_sum``, ``segment_softmax``, ``memory_mixture``
+* normalization — ``layer_norm`` (Eq. 7's LayerNorm as one node)
 * nonlinearities — ``exp``, ``log``, ``sqrt``, ``relu``, ``leaky_relu``,
   ``sigmoid``, ``tanh``, ``softplus``, ``log_sigmoid``, ``softmax``,
   ``maximum``, ``where``
 * losses — ``bpr_tail`` (the fused pairwise BPR loss)
 
 The sparse/graph kernels (``spmm``, ``gathered_rowwise_dot``,
-``segment_sum``, ``memory_mixture``) and ``bpr_tail`` dispatch through
-the active :mod:`repro.engine.backends` kernel backend, so a single
-switch selects the vectorized or the reference implementation for
-every model.
+``segment_sum``, ``memory_mixture``), ``layer_norm`` and ``bpr_tail``
+dispatch through the active :mod:`repro.engine.backends` kernel
+backend, so a single switch selects the vectorized or the reference
+implementation for every model.
+
+Backward closures that allocate a fresh gradient buffer hand it over
+with ``_accumulate(grad, owned=True)`` so the first contribution is not
+copied; closures that pass ``out.grad`` through never do.  Operands
+that do not require a gradient get no gradient product at all.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from repro.autograd.tensor import Tensor, as_tensor
 from repro.engine import arena
 from repro.engine.adjcache import cached_transpose
 from repro.engine.backends import get_backend
-from repro.engine.precision import as_index_array
+from repro.engine.precision import as_index_array, get_dtype
 from repro.engine.stable_math import stable_sigmoid, stable_softplus
 
 Axis = Union[None, int, Tuple[int, ...]]
@@ -91,7 +97,8 @@ def sub(a, b) -> Tensor:
     def factory(out: Tensor):
         def backward():
             a._accumulate(_unbroadcast(out.grad, a.shape))
-            b._accumulate(_unbroadcast(-out.grad, b.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(-out.grad, b.shape))
 
         return backward
 
@@ -105,8 +112,12 @@ def mul(a, b) -> Tensor:
 
     def factory(out: Tensor):
         def backward():
-            a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
-            b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(out.grad * b.data, a.shape),
+                              owned=True)
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(out.grad * a.data, b.shape),
+                              owned=True)
 
         return backward
 
@@ -120,8 +131,11 @@ def div(a, b) -> Tensor:
 
     def factory(out: Tensor):
         def backward():
-            a._accumulate(_unbroadcast(out.grad / b.data, a.shape))
-            b._accumulate(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(out.grad / b.data, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(
+                    -out.grad * a.data / (b.data * b.data), b.shape))
 
         return backward
 
@@ -171,18 +185,22 @@ def matmul(a, b) -> Tensor:
         def backward():
             grad = out.grad
             a_data, b_data = a.data, b.data
-            if a.ndim == 1 and b.ndim == 1:  # dot product -> scalar
-                a._accumulate(grad * b_data)
-                b._accumulate(grad * a_data)
-            elif a.ndim == 1:  # (d,) @ (d, k) -> (k,)
-                a._accumulate(grad @ b_data.T)
-                b._accumulate(np.outer(a_data, grad))
-            elif b.ndim == 1:  # (n, d) @ (d,) -> (n,)
-                a._accumulate(np.outer(grad, b_data))
-                b._accumulate(a_data.T @ grad)
-            else:
-                a._accumulate(grad @ b_data.T)
-                b._accumulate(a_data.T @ grad)
+            if a.requires_grad:
+                if a.ndim == 1 and b.ndim == 1:  # dot product -> scalar
+                    grad_a = grad * b_data
+                elif b.ndim == 1:  # (n, d) @ (d,) -> (n,)
+                    grad_a = np.outer(grad, b_data)
+                else:  # (d,) @ (d, k) -> (k,) and (n, d) @ (d, k)
+                    grad_a = grad @ b_data.T
+                a._accumulate(grad_a, owned=True)
+            if b.requires_grad:
+                if a.ndim == 1 and b.ndim == 1:
+                    grad_b = grad * a_data
+                elif a.ndim == 1:
+                    grad_b = np.outer(a_data, grad)
+                else:  # (n, d) @ (d,) -> (n,) and (n, d) @ (d, k)
+                    grad_b = a_data.T @ grad
+                b._accumulate(grad_b, owned=True)
 
         return backward
 
@@ -208,7 +226,7 @@ def spmm(matrix: sp.spmatrix, dense) -> Tensor:
             # The CSR transpose is memoized per matrix (the seed rebuilt
             # it on every forward call).
             dense._accumulate(get_backend().spmm(cached_transpose(matrix),
-                                                 out.grad))
+                                                 out.grad), owned=True)
 
         return backward
 
@@ -361,12 +379,14 @@ def gathered_rowwise_dot(a, b, a_indices, b_indices) -> Tensor:
     def factory(out: Tensor):
         def backward():
             grad = out.grad.reshape(-1, 1)
-            grad_a = arena.zeros(a.data.shape, a.data.dtype)
-            np.add.at(grad_a, a_indices, grad * b.data[b_indices])
-            a._accumulate(grad_a)
-            grad_b = arena.zeros(b.data.shape, b.data.dtype)
-            np.add.at(grad_b, b_indices, grad * a.data[a_indices])
-            b._accumulate(grad_b)
+            if a.requires_grad:
+                grad_a = arena.zeros(a.data.shape, a.data.dtype)
+                np.add.at(grad_a, a_indices, grad * b.data[b_indices])
+                a._accumulate(grad_a, owned=True)
+            if b.requires_grad:
+                grad_b = arena.zeros(b.data.shape, b.data.dtype)
+                np.add.at(grad_b, b_indices, grad * a.data[a_indices])
+                b._accumulate(grad_b, owned=True)
 
         return backward
 
@@ -413,15 +433,53 @@ def memory_mixture(embeddings, gates, transforms) -> Tensor:
                     out.grad, embeddings.data, gates.data, transforms.data,
                     needs=needs))
             if grad_emb is not None:
-                embeddings._accumulate(grad_emb)
+                embeddings._accumulate(grad_emb, owned=True)
             if grad_gates is not None:
-                gates._accumulate(grad_gates)
+                gates._accumulate(grad_gates, owned=True)
             if grad_transforms is not None:
-                transforms._accumulate(grad_transforms)
+                transforms._accumulate(grad_transforms, owned=True)
 
         return backward
 
     return Tensor._make(data, (embeddings, gates, transforms), factory)
+
+
+# ----------------------------------------------------------------------
+# Normalization
+# ----------------------------------------------------------------------
+def layer_norm(x, scale, shift, eps: float = 1e-5) -> Tensor:
+    """Layer normalization over the last axis with an affine map.
+
+    ``(x - mean) / sqrt(var + eps) * scale + shift`` per row, with the
+    biased variance — Eq. 7's stabilizer.  One graph node dispatched
+    through the backend's ``layer_norm`` / ``layer_norm_backward``
+    kernels in place of the nine-op ``mean → sub → mul → mean → add →
+    sqrt → div → mul → add`` chain; the naive backend keeps that chain
+    as the reference.
+    """
+    x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
+    if x.ndim < 1:
+        raise ValueError("layer_norm expects at least one axis")
+    dim = x.shape[-1]
+    if scale.shape != (dim,) or shift.shape != (dim,):
+        raise ValueError(f"scale {scale.shape} and shift {shift.shape} must "
+                         f"both be ({dim},)")
+    data, normed, inv_std = get_backend().layer_norm(
+        x.data, scale.data, shift.data, eps)
+
+    def factory(out: Tensor):
+        def backward():
+            needs = (x.requires_grad, scale.requires_grad,
+                     shift.requires_grad)
+            grads = get_backend().layer_norm_backward(
+                out.grad, normed, inv_std, scale.data, needs=needs)
+            for tensor, grad in zip((x, scale, shift), grads):
+                if grad is not None:
+                    tensor._accumulate(grad, owned=True)
+
+        return backward
+
+    return Tensor._make(data, (x, scale, shift), factory)
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +641,9 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
 
     def factory(out: Tensor):
         def backward():
-            a._accumulate(out.grad * np.where(mask, 1.0, slope))
+            dtype = a.data.dtype.type
+            scale = np.where(mask, dtype(1.0), dtype(slope))
+            a._accumulate(out.grad * scale, owned=True)
 
         return backward
 
@@ -690,8 +750,10 @@ def maximum(a, b) -> Tensor:
 
     def factory(out: Tensor):
         def backward():
-            a._accumulate(_unbroadcast(out.grad * take_a, a.shape))
-            b._accumulate(_unbroadcast(out.grad * ~take_a, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(out.grad * take_a, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(out.grad * ~take_a, b.shape))
 
         return backward
 
@@ -706,8 +768,10 @@ def where(condition: np.ndarray, a, b) -> Tensor:
 
     def factory(out: Tensor):
         def backward():
-            a._accumulate(_unbroadcast(out.grad * condition, a.shape))
-            b._accumulate(_unbroadcast(out.grad * ~condition, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(out.grad * condition, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(out.grad * ~condition, b.shape))
 
         return backward
 
@@ -721,5 +785,10 @@ def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> 
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    # One float64 uniform draw per entry (the stream is unchanged); the
+    # mask is built directly in the engine dtype.  ``1 · scale`` is exact,
+    # so it equals the float64 mask cast down bit for bit.
+    dtype = get_dtype()
+    keep = (rng.random(a.shape) >= rate).astype(dtype)
+    keep *= dtype.type(1.0 / (1.0 - rate))
     return mul(a, Tensor(keep))

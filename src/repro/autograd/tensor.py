@@ -164,13 +164,20 @@ class Tensor:
             out._backward = backward_factory(out)
         return out
 
-    def _accumulate(self, grad) -> None:
+    def _accumulate(self, grad, owned: bool = False) -> None:
         """Add ``grad`` into this tensor's gradient buffer.
 
         ``grad`` may be a dense array or a
         :class:`repro.autograd.sparse.RowSparseGrad` (only ever produced
         for leaf tensors).  Mixing rules: sparse+sparse merges without
         densifying; any dense contribution densifies the buffer.
+
+        ``owned=True`` promises that ``grad`` is a buffer the caller
+        just allocated and nothing else references, so a first
+        contribution in this tensor's dtype becomes the gradient buffer
+        itself instead of being copied.  Closures that pass a gradient
+        through (``add``, ``reshape``, ...) must leave it ``False``: the
+        buffer is later accumulated into in place.
         """
         if not self.requires_grad:
             return
@@ -185,12 +192,19 @@ class Tensor:
                 grad.add_into_dense(self.grad)
             return
         if self.grad is None:
-            self.grad = _grad_copy(grad, self.data.dtype)
+            self.grad = self._owned_or_copy(grad, owned)
         elif isinstance(self.grad, RowSparseGrad):
-            dense = _grad_copy(grad, self.data.dtype)
-            self.grad = self.grad.add_into_dense(dense)
+            self.grad = self.grad.add_into_dense(
+                self._owned_or_copy(grad, owned))
         else:
             self.grad += grad
+
+    def _owned_or_copy(self, grad, owned: bool) -> np.ndarray:
+        """``grad`` itself when owned and already right, else a copy."""
+        if (owned and type(grad) is np.ndarray
+                and grad.dtype == self.data.dtype):
+            return grad
+        return _grad_copy(grad, self.data.dtype)
 
     # ------------------------------------------------------------------
     # Backward pass

@@ -5,24 +5,27 @@ kernel families — sparse-matrix × dense-matrix products (``spmm``),
 gathered row-wise dot products (the SDDMM-style kernel behind BPR
 scoring), segment reductions over explicit edge lists, and the fused
 memory-mixture transform behind DGNN's Eq. 3
-(``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``).  This
-module owns those kernels behind a :class:`KernelBackend` interface so
-there is exactly one place to optimize every model's hot path:
+(``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``) — plus
+the dense kernels of DGNN's training step: Eq. 7's LayerNorm and the
+fused BPR loss tail.  This module owns those kernels behind a
+:class:`KernelBackend` interface so there is exactly one place to
+optimize every model's hot path:
 
 * ``"naive"`` — transparent Python-loop reference implementations; the
   correctness oracle the parity test suite checks the others against.
 * ``"fast"``  — vectorized CSR kernels (scipy's compiled spmm, fused
   einsum gather+dot, ``np.add.at`` scatter reductions, the memory
-  mixture as ``|M|`` BLAS GEMMs with ``(n, d)`` temporaries only).
+  mixture as one wide ``(n, d) × (d, |M|·d)`` GEMM plus a batched gate
+  contraction, LayerNorm with its row means as BLAS GEMVs).
 
 The active backend is selected with :func:`set_backend`, the
 :func:`use_backend` context manager, or the ``REPRO_ENGINE_BACKEND``
 environment variable at import time; :mod:`repro.autograd.ops` routes
 ``spmm`` / ``segment_sum`` / ``gathered_rowwise_dot`` /
-``memory_mixture`` through it.  Each dispatch records call counts,
-nonzeros, dense-FLOP and bytes-moved estimates in
-:mod:`repro.engine.instrument`.  Kernels compute in the dtype of their
-inputs; the engine-wide precision policy lives in
+``memory_mixture`` / ``layer_norm`` / ``bpr_tail`` through it.  Each
+dispatch records call counts, nonzeros, dense-FLOP and bytes-moved
+estimates in :mod:`repro.engine.instrument`.  Kernels compute in the
+dtype of their inputs; the engine-wide precision policy lives in
 :mod:`repro.engine.precision`.
 
 Orthogonally to backend choice, :mod:`repro.engine.locality` supplies a
@@ -52,6 +55,17 @@ except ImportError:  # pragma: no cover
     _csr_tools = None
 
 
+def _mean_column(dim: int, dtype) -> np.ndarray:
+    """A ``(dim, 1)`` column of ``1/dim``: ``x @ col`` is the row mean."""
+    return np.full((dim, 1), 1.0 / dim, dtype=dtype)
+
+
+def _side_by_side(transforms: np.ndarray) -> np.ndarray:
+    """``(M, d, k)`` unit matrices as one ``(d, M·k)`` block row."""
+    units, dim, width = transforms.shape
+    return transforms.transpose(1, 0, 2).reshape(dim, units * width)
+
+
 def _out_buffer(shape, dtype, out: Optional[np.ndarray],
                 zero: bool) -> np.ndarray:
     """Resolve an ``out=`` argument: caller buffer, arena, or fresh."""
@@ -66,8 +80,9 @@ class KernelBackend:
     """Interface + instrumentation shell for the sparse kernel set.
 
     Subclasses implement the ``_``-prefixed kernels on plain numpy
-    arrays; the public methods time each call and feed the global
-    counters.  Kernels preserve the floating dtype of their inputs
+    arrays (the LayerNorm pair has a vectorized default here); the
+    public methods time each call and feed the global counters.
+    Kernels preserve the floating dtype of their inputs
     (``float64`` by default, ``float32`` under the opt-in precision
     policy of :mod:`repro.engine.precision`).
     """
@@ -228,6 +243,45 @@ class KernelBackend:
             flops=2.0 * sum(needs) * embeddings.shape[0] * units * dim * dim)
         return grads
 
+    def layer_norm(self, x: np.ndarray, scale: np.ndarray,
+                   shift: np.ndarray, eps: float
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """LayerNorm over the last axis with an affine map (DGNN Eq. 7).
+
+        Returns ``(out, normed, inv_std)``: ``normed = (x - mean) ·
+        inv_std`` with ``inv_std = 1 / sqrt(var + eps)`` of shape
+        ``x.shape[:-1] + (1,)`` (biased variance), and ``out = normed ·
+        scale + shift``.  ``normed`` and ``inv_std`` are what
+        :meth:`layer_norm_backward` consumes.
+        """
+        start = time.perf_counter()
+        out, normed, inv_std = self._layer_norm(x, scale, shift, eps)
+        size = float(x.size)
+        counters().record_kernel(
+            "layer_norm", time.perf_counter() - start,
+            flops=9.0 * size, bytes_moved=6.0 * size * x.dtype.itemsize)
+        return out, normed, inv_std
+
+    def layer_norm_backward(
+            self, grad_out: np.ndarray, normed: np.ndarray,
+            inv_std: np.ndarray, scale: np.ndarray,
+            needs: Tuple[bool, bool, bool] = (True, True, True),
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+        """Backward of :meth:`layer_norm`.
+
+        Returns ``(grad_x, grad_scale, grad_shift)``; entries whose
+        ``needs`` flag is ``False`` are skipped and returned as ``None``.
+        """
+        start = time.perf_counter()
+        grads = self._layer_norm_backward(grad_out, normed, inv_std, scale,
+                                          needs)
+        size = float(grad_out.size)
+        counters().record_kernel(
+            "layer_norm_backward", time.perf_counter() - start,
+            flops=10.0 * size,
+            bytes_moved=7.0 * size * grad_out.dtype.itemsize)
+        return grads
+
     def bpr_tail(self, pos_scores: np.ndarray, neg_scores: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray]:
         """Fused BPR loss tail: ``-mean(log_sigmoid(pos - neg))``.
@@ -299,6 +353,58 @@ class KernelBackend:
 
     def _bpr_tail_backward(self, diff, upstream):
         raise NotImplementedError
+
+    # LayerNorm has a working default here (the vectorized kernel the
+    # ``fast`` backend uses), so a backend that delegates only the
+    # kernels above still runs every model.
+    def _layer_norm(self, x, scale, shift, eps):
+        dtype = x.dtype
+        # Row means as BLAS GEMVs: a reduction along a 16-wide last axis
+        # is all per-row loop overhead in numpy, a GEMV is not.
+        col = _mean_column(x.shape[-1], dtype)
+        mean = x @ col
+        normed = arena.empty(x.shape, dtype)
+        np.subtract(x, mean, out=normed)
+        squares = arena.empty(x.shape, dtype)
+        np.multiply(normed, normed, out=squares)
+        inv_std = squares @ col
+        arena.release(squares)
+        inv_std += dtype.type(eps)
+        np.sqrt(inv_std, out=inv_std)
+        np.reciprocal(inv_std, out=inv_std)
+        normed *= inv_std
+        out = arena.empty(x.shape, dtype)
+        np.multiply(normed, scale, out=out)
+        out += shift
+        return out, normed, inv_std
+
+    def _layer_norm_backward(self, grad_out, normed, inv_std, scale, needs):
+        dtype = normed.dtype
+        dim = normed.shape[-1]
+        rows = grad_out.reshape(-1, dim)
+        grad_x = grad_scale = grad_shift = None
+        if needs[1]:
+            prod = arena.empty(rows.shape, dtype)
+            np.multiply(rows, normed.reshape(-1, dim), out=prod)
+            grad_scale = prod.sum(axis=0)
+            arena.release(prod)
+        if needs[2]:
+            grad_shift = rows.sum(axis=0)
+        if needs[0]:
+            # dx = inv_std · (ĝ - mean(ĝ) - x̂ · mean(ĝ · x̂)),  ĝ = g · scale
+            col = _mean_column(dim, dtype)
+            grad_x = arena.empty(normed.shape, dtype)
+            np.multiply(grad_out, scale, out=grad_x)
+            mean_g = grad_x @ col
+            work = arena.empty(normed.shape, dtype)
+            np.multiply(grad_x, normed, out=work)
+            mean_gn = work @ col
+            np.multiply(normed, mean_gn, out=work)
+            grad_x -= mean_g
+            grad_x -= work
+            grad_x *= inv_std
+            arena.release(work)
+        return grad_x, grad_scale, grad_shift
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -387,6 +493,42 @@ class NaiveBackend(KernelBackend):
         grad_pos = diff_grad                                 # sub, a side
         grad_neg = np.negative(diff_grad)                    # sub, b side
         return grad_pos, grad_neg
+
+    def _layer_norm(self, x, scale, shift, eps):
+        # Literal transcription of the nine-op chain the fused op
+        # replaced — the oracle the vectorized kernel is checked against.
+        mu = np.mean(x, axis=-1, keepdims=True)
+        centered = np.subtract(x, mu)
+        var = np.mean(np.multiply(centered, centered), axis=-1, keepdims=True)
+        sd = np.sqrt(np.add(var, x.dtype.type(eps)))
+        normed = np.divide(centered, sd)
+        out = np.add(np.multiply(normed, scale), shift)
+        return out, normed, np.divide(x.dtype.type(1.0), sd)
+
+    def _layer_norm_backward(self, grad_out, normed, inv_std, scale, needs):
+        # The chain's backward closures in reverse order; its retained
+        # ``sd`` and ``centered`` are rebuilt from the kernel's outputs.
+        dim = normed.shape[-1]
+        sd = np.divide(normed.dtype.type(1.0), inv_std)
+        centered = np.multiply(normed, sd)
+        rows = grad_out.reshape(-1, dim)
+        grad_shift = rows.sum(axis=0) if needs[2] else None      # add
+        grad_scale = (np.multiply(rows, normed.reshape(-1, dim)).sum(axis=0)
+                      if needs[1] else None)                     # mul
+        if not needs[0]:
+            return None, grad_scale, grad_shift
+        g_normed = np.multiply(grad_out, scale)                  # mul
+        g_centered = np.divide(g_normed, sd)                     # div, a
+        g_sd = np.sum(-g_normed * centered / (sd * sd), axis=-1,
+                      keepdims=True)                             # div, b
+        g_var = g_sd * 0.5 / sd                                  # sqrt, add
+        g_squares = np.broadcast_to(g_var / dim, normed.shape)   # mean
+        g_centered = g_centered + g_squares * centered           # mul, a
+        g_centered = g_centered + g_squares * centered           # mul, b
+        g_mu = np.sum(-g_centered, axis=-1, keepdims=True)       # sub, b
+        grad_x = g_centered + np.broadcast_to(g_mu / dim,
+                                              normed.shape)      # mean
+        return grad_x, grad_scale, grad_shift
 
     def _memory_mixture_backward(self, grad_out, embeddings, gates,
                                  transforms, needs):
@@ -489,50 +631,61 @@ class FastBackend(KernelBackend):
 
     def _memory_mixture(self, embeddings, gates, transforms,
                         out=None) -> np.ndarray:
-        # |M| BLAS GEMMs with (n, d) temporaries only.  On this op shape
-        # (small d, M ~ 8) the loop-of-GEMMs beats a single einsum by an
-        # order of magnitude because einsum cannot route it through BLAS.
+        # One (n, d) × (d, M·d) GEMM against the unit transforms side by
+        # side, then one batched matmul contracting each row's gates
+        # with its M per-unit rows.  At d = 16 the |M| narrow GEMMs this
+        # replaces were mostly per-call overhead.
+        n, dim = embeddings.shape
+        units = transforms.shape[0]
         dtype = np.result_type(embeddings.dtype, gates.dtype,
                                transforms.dtype)
-        out = _out_buffer(embeddings.shape, dtype, out, zero=False)
-        tmp = arena.empty(embeddings.shape, dtype)
-        np.matmul(embeddings, transforms[0], out=tmp)
-        np.multiply(tmp, gates[:, 0:1], out=out)
-        for unit in range(1, transforms.shape[0]):
-            np.matmul(embeddings, transforms[unit], out=tmp)
-            tmp *= gates[:, unit:unit + 1]
-            out += tmp
-        arena.release(tmp)
+        out = _out_buffer((n, dim), dtype, out, zero=False)
+        wide = arena.empty((n, units * dim), dtype)
+        np.matmul(embeddings, _side_by_side(transforms), out=wide)
+        np.matmul(gates[:, None, :], wide.reshape(n, units, dim),
+                  out=out[:, None, :])
+        arena.release(wide)
         return out
 
     def _memory_mixture_backward(self, grad_out, embeddings, gates,
                                  transforms, needs):
+        n, dim = embeddings.shape
+        units = transforms.shape[0]
         dtype = np.result_type(grad_out.dtype, embeddings.dtype,
                                gates.dtype, transforms.dtype)
-        grad_emb = (arena.zeros(embeddings.shape, dtype)
-                    if needs[0] else None)
-        grad_gates = arena.zeros(gates.shape, dtype) if needs[1] else None
-        grad_transforms = (arena.zeros(transforms.shape, dtype)
-                           if needs[2] else None)
-        g_wt = (arena.empty(grad_out.shape, dtype)
-                if needs[0] or needs[1] else None)
-        tmp = arena.empty(grad_out.shape, dtype) if needs[0] else None
-        scaled = arena.empty(embeddings.shape, dtype) if needs[2] else None
-        for unit in range(transforms.shape[0]):
-            if needs[0] or needs[1]:
-                np.matmul(grad_out, transforms[unit].T, out=g_wt)
+        grad_emb = grad_gates = grad_transforms = None
+        # One (n, M·d) workspace, released before returning.
+        work = arena.empty((n, units * dim), dtype)
+        if needs[0] or needs[1]:
+            # dP = G @ [W_1ᵀ|…|W_Mᵀ]: row n holds W_m @ G[n] for every m.
+            np.matmul(grad_out, _side_by_side(transforms.transpose(0, 2, 1)),
+                      out=work)
+            per_unit = work.reshape(n, units, dim)
             if needs[0]:
-                np.multiply(g_wt, gates[:, unit:unit + 1], out=tmp)
-                grad_emb += tmp
+                grad_emb = arena.empty((n, dim), dtype)
+                np.matmul(gates[:, None, :], per_unit,
+                          out=grad_emb[:, None, :])
             if needs[1]:
-                np.einsum("ni,ni->n", embeddings, g_wt,
-                          out=grad_gates[:, unit])
-            if needs[2]:
-                np.multiply(embeddings, gates[:, unit:unit + 1], out=scaled)
-                np.matmul(scaled.T, grad_out, out=grad_transforms[unit])
-        for buf in (g_wt, tmp, scaled):
-            if buf is not None:
-                arena.release(buf)
+                grad_gates = arena.empty((n, units), dtype)
+                np.matmul(per_unit, embeddings[:, :, None],
+                          out=grad_gates[:, :, None])
+        if needs[2]:
+            # grad_W[m] = Σ_n gates[n, m] · E[n]ᵀ G[n]: one (M·d, n) ×
+            # (n, d) GEMM over the gate-scaled embeddings.  They are built
+            # in (M, d, n) layout so the broadcast product runs along n,
+            # not along a 16-wide last axis.
+            emb_t = arena.empty((dim, n), dtype)
+            np.copyto(emb_t, embeddings.T)
+            gates_t = arena.empty((units, n), dtype)
+            np.copyto(gates_t, gates.T)
+            scaled = work.reshape(units, dim, n)
+            np.multiply(gates_t[:, None, :], emb_t[None, :, :], out=scaled)
+            grad_transforms = arena.empty(transforms.shape, dtype)
+            np.matmul(work.reshape(units * dim, n), grad_out,
+                      out=grad_transforms.reshape(units * dim, dim))
+            arena.release(emb_t)
+            arena.release(gates_t)
+        arena.release(work)
         return grad_emb, grad_gates, grad_transforms
 
     def _bpr_tail(self, pos_scores, neg_scores):

@@ -123,6 +123,26 @@ class DtypeCheckingBackend(KernelBackend):
             _check("memory_mixture_backward", role, grad)
         return grads
 
+    def _layer_norm(self, x, scale, shift, eps):
+        _check("layer_norm", "x", x)
+        _check("layer_norm", "scale", scale)
+        _check("layer_norm", "shift", shift)
+        results = self.inner._layer_norm(x, scale, shift, eps)
+        for role, result in zip(("out", "normed", "inv_std"), results):
+            _check("layer_norm", role, result)
+        return results
+
+    def _layer_norm_backward(self, grad_out, normed, inv_std, scale, needs):
+        _check("layer_norm_backward", "grad_out", grad_out)
+        _check("layer_norm_backward", "normed", normed)
+        _check("layer_norm_backward", "inv_std", inv_std)
+        _check("layer_norm_backward", "scale", scale)
+        grads = self.inner._layer_norm_backward(grad_out, normed, inv_std,
+                                                scale, needs)
+        for role, grad in zip(("grad_x", "grad_scale", "grad_shift"), grads):
+            _check("layer_norm_backward", role, grad)
+        return grads
+
     def _bpr_tail(self, pos_scores, neg_scores):
         _check("bpr_tail", "pos_scores", pos_scores)
         _check("bpr_tail", "neg_scores", neg_scores)

@@ -79,11 +79,7 @@ class LayerNorm(Module):
         self.shift = Parameter(init.zeros((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = ops.mean(x, axis=-1, keepdims=True)
-        centered = ops.sub(x, mu)
-        var = ops.mean(ops.mul(centered, centered), axis=-1, keepdims=True)
-        normed = ops.div(centered, ops.sqrt(ops.add(var, Tensor(np.array(self.eps)))))
-        return ops.add(ops.mul(normed, self.scale), self.shift)
+        return ops.layer_norm(x, self.scale, self.shift, self.eps)
 
 
 class Dropout(Module):

@@ -66,3 +66,41 @@ def test_checker_passes_clean_float32_call():
         table = np.ones((4, 3), dtype=np.float32)
         out = checker.gather_rows(table, np.array([0, 1], dtype=np.int32))
     assert out.dtype == np.float32
+
+
+def test_checker_wraps_every_private_kernel():
+    """A kernel the checker does not override would run unchecked."""
+    from repro.engine.backends import KernelBackend
+
+    kernels = {name for name, value in vars(KernelBackend).items()
+               if name.startswith("_") and not name.startswith("__")
+               and callable(value)}
+    assert {"_layer_norm", "_layer_norm_backward",
+            "_memory_mixture", "_memory_mixture_backward"} <= kernels
+    unchecked = {name for name in kernels
+                 if name not in vars(DtypeCheckingBackend)}
+    assert not unchecked
+
+
+@pytest.mark.parametrize("kernel", ["layer_norm", "layer_norm_backward",
+                                    "memory_mixture",
+                                    "memory_mixture_backward"])
+def test_checker_catches_planted_float64_in_new_kernels(kernel):
+    from repro.engine.backends import get_backend
+
+    checker = DtypeCheckingBackend(get_backend())
+    f32 = np.ones((4, 3), dtype=np.float32)
+    f64 = np.ones((4, 3), dtype=np.float64)  # the planted leak
+    row32 = np.ones(3, dtype=np.float32)
+    calls = {
+        "layer_norm": lambda: checker.layer_norm(f64, row32, row32, 1e-5),
+        "layer_norm_backward": lambda: checker.layer_norm_backward(
+            f32, f64, np.ones((4, 1), dtype=np.float32), row32),
+        "memory_mixture": lambda: checker.memory_mixture(
+            f32, f64[:, :2], np.ones((2, 3, 3), dtype=np.float32)),
+        "memory_mixture_backward": lambda: checker.memory_mixture_backward(
+            f64, f32, f32[:, :2], np.ones((2, 3, 3), dtype=np.float32)),
+    }
+    with use_dtype(np.float32):
+        with pytest.raises(DtypeLeakError, match=kernel):
+            calls[kernel]()

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 
 from repro.autograd import Tensor, gradcheck, no_grad, ops
 from repro.engine import (
+    KernelBackend,
     available_backends,
     get_backend,
     set_backend,
@@ -196,3 +197,57 @@ class TestModelParity:
                 losses[backend] = float(loss.data)
         for backend in ALL_BACKENDS[1:]:
             assert abs(losses["naive"] - losses[backend]) < _parity_atol()
+
+
+# The private kernels pipebench's traced backend delegates (its
+# ``tracing.KERNEL_SPANS``): a backend written against them must keep
+# running every model as new kernels are added, so new kernels need a
+# working default on ``KernelBackend`` itself.
+DELEGATED_KERNELS = (
+    "_spmm", "_memory_mixture", "_memory_mixture_backward",
+    "_gathered_rowwise_dot", "_gather_rows", "_scatter_add_rows",
+    "_segment_sum", "_bpr_tail", "_bpr_tail_backward",
+)
+
+
+def _delegating_backend(inner):
+    def delegate(kernel):
+        target = getattr(inner, kernel)
+        return lambda self, *args, **kwargs: target(*args, **kwargs)
+
+    attrs = {"name": f"delegating-{inner.name}"}
+    for kernel in DELEGATED_KERNELS:
+        attrs[kernel] = delegate(kernel)
+    return type("DelegatingBackend", (KernelBackend,), attrs)()
+
+
+def _dgnn_train_step(graph):
+    model = create_model("dgnn", graph, embed_dim=16, seed=0)
+    optimizer = Adam(model.parameters(), lr=0.01)
+    users, positives, negatives = _batch(graph, np.random.default_rng(4))
+    loss = model.bpr_loss(users, positives, negatives)
+    loss.backward()
+    optimizer.step()
+    return float(loss.data), model.state_dict()
+
+
+class TestDelegatingBackend:
+    def test_nine_kernel_backend_runs_a_dgnn_step(self, tiny_graph):
+        with use_backend("fast"):
+            loss_ref, state_ref = _dgnn_train_step(tiny_graph)
+        with use_backend(_delegating_backend(get_backend())):
+            loss, state = _dgnn_train_step(tiny_graph)
+        assert loss == loss_ref
+        for name in state_ref:
+            np.testing.assert_array_equal(state[name], state_ref[name],
+                                          err_msg=name)
+
+    def test_pipebench_traced_backend_runs_a_dgnn_step(self, tiny_graph):
+        from pipebench.tracing import Tracer, make_traced_backend
+
+        tracer = Tracer()
+        with use_backend(make_traced_backend(tracer, get_backend())):
+            loss, _ = _dgnn_train_step(tiny_graph)
+        assert np.isfinite(loss)
+        assert any(span.name == "engine.memory_mixture_backward"
+                   for span in tracer.spans)

@@ -6,10 +6,14 @@ Covers the tentpole guarantees:
   forward and backward, on the real :class:`MemoryBank` module;
 * finite-difference gradcheck of the fused op w.r.t. all three inputs;
 * naive / fast backends agree on the kernel at both engine
-  dtypes, to dtype-derived tolerances;
+  dtypes, to dtype-derived tolerances — also on DGNN's shapes
+  (n up to 4000, d = 16 and 48, M = 1), non-contiguous gates and every
+  combination of requested gradients;
 * the fused path cuts the autograd graph down to one node per mixture
   and shows up in kernel instrumentation.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -112,6 +116,77 @@ class TestFusedOp:
         stats = instrument.snapshot()
         assert stats["calls.memory_mixture"] == 1
         assert stats["calls.memory_mixture_backward"] == 1
+
+
+NEEDS = list(itertools.product((True, False), repeat=3))
+
+
+def _kernel_inputs(rng, n, dim, units, dtype):
+    """Mixture inputs with non-contiguous gates (a strided column view)."""
+    emb = rng.normal(size=(n, dim)).astype(dtype)
+    gates = rng.normal(size=(n, 2 * units)).astype(dtype)[:, ::2]
+    transforms = rng.normal(size=(units, dim, dim)).astype(dtype)
+    grad_out = rng.normal(size=(n, dim)).astype(dtype)
+    assert gates.strides[1] == 2 * gates.itemsize
+    return emb, gates, transforms, grad_out
+
+
+def _kernel_results(inputs, needs=(True, True, True)):
+    emb, gates, transforms, grad_out = inputs
+    results = {}
+    for name in ALL_BACKENDS:
+        with use_backend(name) as backend:
+            out = backend.memory_mixture(emb, gates, transforms)
+            grads = backend.memory_mixture_backward(
+                grad_out, emb, gates, transforms, needs=needs)
+        results[name] = (out,) + tuple(grads)
+    return results
+
+
+def _assert_parity(results, tol, what):
+    labels = ("out", "grad_embeddings", "grad_gates", "grad_transforms")
+    for label, ref, other in zip(labels, results["naive"], results["fast"]):
+        if ref is None:
+            assert other is None, f"{label} {what}"
+            continue
+        assert other.dtype == ref.dtype, f"{label} {what}"
+        np.testing.assert_allclose(ref, other, atol=tol.atol, rtol=tol.rtol,
+                                   err_msg=f"{label} {what}")
+
+
+class TestKernelParityAtScale:
+    """Naive vs fast on DGNN's shapes: the wide-GEMM kernels."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("n", [1, 7, 4000])
+    @pytest.mark.parametrize("dim", [16, 48])
+    @pytest.mark.parametrize("units", [1, 3])
+    def test_parity(self, dtype, n, dim, units, rng):
+        with use_dtype(dtype):
+            inputs = _kernel_inputs(rng, n, dim, units, np.dtype(dtype))
+            results = _kernel_results(inputs)
+        assert results["fast"][0].dtype == np.dtype(dtype)
+        _assert_parity(results, tolerances(dtype),
+                       f"n={n} d={dim} M={units}")
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("needs", NEEDS)
+    def test_every_needs_combination(self, dtype, needs, rng):
+        with use_dtype(dtype):
+            inputs = _kernel_inputs(rng, 7, 16, 8, np.dtype(dtype))
+            results = _kernel_results(inputs, needs=needs)
+        for flag, grad in zip(needs, results["fast"][1:]):
+            assert (grad is not None) == flag
+        _assert_parity(results, tolerances(dtype), f"needs={needs}")
+
+    def test_caller_out_buffer_is_filled(self, rng):
+        emb, gates, transforms, _ = _kernel_inputs(rng, 9, 16, 4, np.float64)
+        with use_backend("fast") as backend:
+            out = np.full((9, 16), np.nan)
+            result = backend.memory_mixture(emb, gates, transforms, out=out)
+        assert result is out
+        np.testing.assert_allclose(out, _reference(emb, gates, transforms),
+                                   atol=1e-10, rtol=1e-8)
 
 
 class TestMemoryBankAdoption:

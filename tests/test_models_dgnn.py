@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import no_grad
+from repro.engine import tolerances
 from repro.graph import CollaborativeHeteroGraph
 from repro.graph.adjacency import add_self_loops, row_normalize
 from repro.models.dgnn import DGNN
@@ -158,9 +159,16 @@ class TestScoring:
         items = np.array([[0, 1, 2], [3, 4, 5]])
         scores = model.score_candidates(users, items)
         user_emb, item_emb = model.final_embeddings()
-        expected = np.array([[user_emb[0] @ item_emb[j] for j in items[0]],
-                             [user_emb[1] @ item_emb[j] for j in items[1]]])
-        np.testing.assert_allclose(scores, expected, atol=1e-10)
+        # The reference dot products run in float64 from the same
+        # embeddings; the kernel's own summation order may differ from
+        # it by a few float32 ulps, so the bound is the dtype's.
+        user64, item64 = (user_emb.astype(np.float64),
+                          item_emb.astype(np.float64))
+        expected = np.array([[user64[0] @ item64[j] for j in items[0]],
+                             [user64[1] @ item64[j] for j in items[1]]])
+        tol = tolerances(user_emb.dtype)
+        np.testing.assert_allclose(scores, expected, atol=tol.atol,
+                                   rtol=tol.rtol)
 
     def test_cache_invalidation_after_update(self, tiny_graph):
         model = DGNN(tiny_graph, embed_dim=8, seed=0)
