@@ -63,6 +63,28 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _pooled(ufunc, *operands, shape=None) -> np.ndarray:
+    """``ufunc(*operands)`` with broadcasting, into an arena buffer.
+
+    Inside a step scope a large result is written into an
+    ``arena.empty`` checkout, so the step's big temporaries recycle
+    instead of churning the C heap.  Otherwise — outside a scope, below
+    the bypass size, or a 0-d result such as the loss, which is read
+    after the scope exits — it is the plain ufunc call, as an array
+    even for 0-d operands so callers can write into it.  ``shape`` is
+    the result shape when it is not the operands' broadcast shape
+    (``np.matmul``).
+    """
+    pool = arena.get_arena()
+    if pool.active():
+        if shape is None:
+            shape = np.broadcast_shapes(*(np.shape(x) for x in operands))
+        dtype = np.result_type(*operands)
+        if shape and pool.pools(shape, dtype):
+            return ufunc(*operands, out=pool.empty(shape, dtype))
+    return np.asarray(ufunc(*operands))
+
+
 def _normalize_axis(axis: Axis, ndim: int) -> Optional[Tuple[int, ...]]:
     if axis is None:
         return None
@@ -77,7 +99,7 @@ def _normalize_axis(axis: Axis, ndim: int) -> Optional[Tuple[int, ...]]:
 def add(a, b) -> Tensor:
     """Elementwise ``a + b`` with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
+    data = _pooled(np.add, a.data, b.data)
 
     def factory(out: Tensor):
         def backward():
@@ -108,7 +130,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     """Elementwise ``a * b`` with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
+    data = _pooled(np.multiply, a.data, b.data)
 
     def factory(out: Tensor):
         def backward():
@@ -179,7 +201,8 @@ def matmul(a, b) -> Tensor:
     if a.ndim > 2 or b.ndim > 2:
         raise ValueError("matmul supports only 1-D and 2-D operands; "
                          "reshape batched operands explicitly")
-    data = a.data @ b.data
+    data = _pooled(np.matmul, a.data, b.data,
+                   shape=a.shape[:-1] + b.shape[1:])
 
     def factory(out: Tensor):
         def backward():
@@ -275,8 +298,14 @@ def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("cat requires at least one tensor")
     axis = axis % tensors[0].ndim if tensors[0].ndim else 0
-    data = np.concatenate([t.data for t in tensors], axis=axis)
+    arrays = [t.data for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
+    shape = list(arrays[0].shape)
+    shape[axis:axis + 1] = [builtins.sum(sizes)]
+    dtype = np.result_type(*arrays)
+    pool = arena.get_arena()
+    data = np.concatenate(arrays, axis=axis, out=(
+        pool.empty(shape, dtype) if pool.pools(shape, dtype) else None))
     offsets = np.cumsum([0] + sizes)
 
     def factory(out: Tensor):
@@ -379,14 +408,13 @@ def gathered_rowwise_dot(a, b, a_indices, b_indices) -> Tensor:
     def factory(out: Tensor):
         def backward():
             grad = out.grad.reshape(-1, 1)
+            scatter = get_backend().scatter_add_rows
             if a.requires_grad:
-                grad_a = arena.zeros(a.data.shape, a.data.dtype)
-                np.add.at(grad_a, a_indices, grad * b.data[b_indices])
-                a._accumulate(grad_a, owned=True)
+                a._accumulate(scatter(grad * b.data[b_indices], a_indices,
+                                      a.shape[0]), owned=True)
             if b.requires_grad:
-                grad_b = arena.zeros(b.data.shape, b.data.dtype)
-                np.add.at(grad_b, b_indices, grad * a.data[a_indices])
-                b._accumulate(grad_b, owned=True)
+                b._accumulate(scatter(grad * a.data[a_indices], b_indices,
+                                      b.shape[0]), owned=True)
 
         return backward
 
@@ -633,9 +661,36 @@ def relu(a) -> Tensor:
 
 
 def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
-    """LeakyReLU with the paper's default negative slope of 0.2."""
+    """LeakyReLU with the paper's default negative slope of 0.2.
+
+    For ``0 < slope <= 1`` the forward is ``maximum(slope·a, a)`` and
+    the backward scale ``fmax(sign(a), slope)``: bitwise the
+    ``where(a > 0, ...)`` formulas (±0, NaN, ±inf and subnormals
+    included), without ``np.where``'s fresh output or a retained mask.
+    Other slopes keep the ``where`` formulas.
+    """
     a = as_tensor(a)
     slope = float(negative_slope)
+    if not 0.0 < slope <= 1.0:
+        return _leaky_relu_where(a, slope)
+    data = _pooled(np.multiply, a.data, slope)
+    # NaN: maximum returns its first operand, which is where's pick.
+    np.maximum(data, a.data, out=data)
+
+    def factory(out: Tensor):
+        def backward():
+            grad = _pooled(np.sign, a.data)
+            np.fmax(grad, slope, out=grad)
+            np.multiply(out.grad, grad, out=grad)
+            a._accumulate(grad, owned=True)
+
+        return backward
+
+    return Tensor._make(data, (a,), factory)
+
+
+def _leaky_relu_where(a: Tensor, slope: float) -> Tensor:
+    """LeakyReLU for slopes outside ``(0, 1]``, by ``np.where``."""
     mask = a.data > 0
     data = np.where(mask, a.data, slope * a.data)
 
@@ -785,10 +840,19 @@ def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> 
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    # One float64 uniform draw per entry (the stream is unchanged); the
-    # mask is built directly in the engine dtype.  ``1 · scale`` is exact,
-    # so it equals the float64 mask cast down bit for bit.
+    # One float64 uniform draw per entry (the same stream whether drawn
+    # fresh or into a pooled buffer); the mask is built directly in the
+    # engine dtype.  ``1 · scale`` is exact, so it equals the float64
+    # mask cast down bit for bit.
     dtype = get_dtype()
-    keep = (rng.random(a.shape) >= rate).astype(dtype)
+    pool = arena.get_arena()
+    if pool.pools(a.shape, np.float64):
+        draws = pool.empty(a.shape, np.float64)
+        rng.random(out=draws)
+        keep = pool.empty(a.shape, dtype)
+        np.greater_equal(draws, rate, out=keep)
+        pool.release(draws)
+    else:
+        keep = (rng.random(a.shape) >= rate).astype(dtype)
     keep *= dtype.type(1.0 / (1.0 - rate))
     return mul(a, Tensor(keep))

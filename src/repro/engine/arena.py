@@ -5,14 +5,26 @@ activations, gathered batch rows, scatter targets, gradient buffers.
 Allocating each of those fresh per step costs allocator time and —
 worse at scale — lets peak RSS creep as the C allocator fragments and
 uncollected backward closures pin garbage between gc cycles.  This
-module provides a small pool of reusable numpy buffers keyed by
-``(shape, dtype)``:
+module provides a small pool of reusable flat byte buffers keyed by
+**size class**, so a checkout is served whatever its shape or dtype:
 
+* Sizes round up to eighth-octave classes (``2**k · (1 + j/8)`` bytes,
+  with a 4 KiB floor), so a pooled buffer wastes at most 12.5% of its
+  bytes.  Minibatch subgraphs change row counts every step; exact
+  ``(shape, dtype)`` keys would miss on most of them and fill the pool
+  with shapes never seen again, while a size class reuses them.
+* :func:`empty` / :func:`zeros` return a C-contiguous
+  ``flat[:nbytes].view(dtype).reshape(shape)`` of a pooled buffer.
 * :func:`step_scope` marks one optimizer step.  Buffers checked out
-  inside the scope (via :func:`empty` / :func:`zeros`) are recycled to
-  the free lists when the scope exits — by then the step's gradients
-  have been consumed by ``optimizer.step()`` and the loss scalar has
-  been read, so nothing reachable still reads them.
+  inside the scope are recycled to the free lists when the scope
+  exits — by then the step's gradients have been consumed by
+  ``optimizer.step()`` and the loss scalar has been read, so nothing
+  reachable still reads them.
+* Scopes are per thread: a thread only pools while its *own* scope is
+  open, and a scope's exit recycles only that thread's checkouts.  A
+  serving or prefetch thread therefore never receives a buffer that
+  another thread's step will hand out again.  The free lists are
+  shared between threads under a lock.
 * Outside any scope, :func:`empty` / :func:`zeros` degrade to plain
   ``np.empty`` / ``np.zeros`` — library users who never open a scope
   see stock allocation behaviour.
@@ -25,9 +37,8 @@ allocate-fresh runs are bitwise identical — the allocate-fresh path
 (``TrainConfig(arena=False)`` or ``REPRO_ENGINE_ARENA=0``) is kept as
 the parity oracle.
 
-The pool is capped (``REPRO_ENGINE_ARENA_MB``, default 1024) so
-variable minibatch subgraph shapes cannot grow it without bound; when
-the cap is exceeded at scope exit the least-recently-used shapes are
+The pool is capped (``REPRO_ENGINE_ARENA_MB``, default 1024); when the
+cap is exceeded at scope exit the least-recently-used size classes are
 dropped back to the allocator.
 
 Buffers below ``REPRO_ENGINE_ARENA_MIN_KB`` (default 64) bypass the
@@ -45,7 +56,8 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-_KeyT = Tuple[Tuple[int, ...], str]
+# Smallest size class; every pooled buffer is at least this many bytes.
+_CLASS_FLOOR = 4096
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -67,16 +79,44 @@ def _env_min_bytes() -> int:
     return max(0, kilobytes) * 1024
 
 
+def _nbytes(shape: Tuple[int, ...], dtype) -> int:
+    nbytes = np.dtype(dtype).itemsize
+    for dim in shape:
+        nbytes *= dim
+    return nbytes
+
+
+def size_class(nbytes: int) -> int:
+    """The pooled byte size serving a request of ``nbytes``.
+
+    Eighth-octave classes above a 4 KiB floor: ``nbytes`` rounds up to
+    the next multiple of ``2**(k-3)`` where ``2**k <= nbytes``, so the
+    slack is below one eighth of the request.
+    """
+    if nbytes <= _CLASS_FLOOR:
+        return _CLASS_FLOOR
+    step = 1 << (nbytes.bit_length() - 4)
+    return -(-nbytes // step) * step
+
+
+class _ThreadScope(threading.local):
+    """One thread's scope depth and its ``id(view) -> (view, flat)`` checkouts."""
+
+    def __init__(self):
+        self.depth = 0
+        self.out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+
 class BufferArena:
-    """A ``(shape, dtype)``-keyed pool of reusable numpy buffers."""
+    """A size-class-keyed pool of reusable flat buffers."""
 
     def __init__(self, cap_bytes: int = None, min_bytes: int = None):
-        self._free: Dict[_KeyT, List[np.ndarray]] = {}
-        self._lru: Dict[_KeyT, int] = {}
-        self._out: Dict[int, np.ndarray] = {}
-        self._depth = 0
+        self._free: Dict[int, List[np.ndarray]] = {}
+        self._lru: Dict[int, int] = {}
+        self._scope = _ThreadScope()
         self._clock = 0
         self._free_bytes = 0
+        self._checked_out = 0
         self._lock = threading.Lock()
         self.cap_bytes = _env_cap_bytes() if cap_bytes is None else cap_bytes
         self.min_bytes = _env_min_bytes() if min_bytes is None else min_bytes
@@ -85,23 +125,20 @@ class BufferArena:
 
     # -- scope lifecycle ----------------------------------------------
     def active(self) -> bool:
-        """Whether a step scope is currently open (pooling engaged)."""
-        return self._depth > 0
+        """Whether this thread has a step scope open (pooling engaged)."""
+        return self._scope.depth > 0
 
     def pools(self, shape, dtype) -> bool:
         """Whether a checkout of ``(shape, dtype)`` would be pooled.
 
-        False outside a scope or below the small-buffer threshold —
-        kernels use this to keep their allocation-free fast paths when
-        pooling would not engage anyway.
+        False outside this thread's scope or below the small-buffer
+        threshold — kernels use this to keep their allocation-free fast
+        paths when pooling would not engage anyway.
         """
-        if self._depth <= 0:
+        if self._scope.depth <= 0:
             return False
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        nbytes = np.dtype(dtype).itemsize
-        for dim in shape:
-            nbytes *= dim
-        return nbytes >= self.min_bytes
+        return _nbytes(shape, dtype) >= self.min_bytes
 
     @contextlib.contextmanager
     def step_scope(self) -> Iterator["BufferArena"]:
@@ -113,21 +150,21 @@ class BufferArena:
         aliased buffers to the next step.  Forgotten buffers fall back
         to the allocator when their last reference dies.
         """
-        with self._lock:
-            self._depth += 1
+        scope = self._scope
+        scope.depth += 1
         try:
             yield self
         except BaseException:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    self._out.clear()
+            scope.depth -= 1
+            if scope.depth == 0:
+                with self._lock:
+                    self._checked_out -= len(scope.out)
+                scope.out.clear()
             raise
         else:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    self._recycle_locked()
+            scope.depth -= 1
+            if scope.depth == 0:
+                self._recycle(scope)
 
     # -- checkout -----------------------------------------------------
     def empty(self, shape, dtype) -> np.ndarray:
@@ -135,24 +172,29 @@ class BufferArena:
 
         Callers must overwrite every element before reading — the same
         contract as ``np.empty``, and what keeps pooled runs bitwise
-        identical to allocate-fresh runs.
+        identical to allocate-fresh runs.  A pooled result is a
+        C-contiguous view of a larger flat buffer.
         """
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         if not self.pools(shape, dtype):
             return np.empty(shape, dtype=dtype)
-        dt = np.dtype(dtype)
-        key = (shape, dt.str)
+        nbytes = _nbytes(shape, dtype)
+        cls = size_class(nbytes)
         with self._lock:
-            stack = self._free.get(key)
+            stack = self._free.get(cls)
             if stack:
-                buf = stack.pop()
-                self._free_bytes -= buf.nbytes
+                flat = stack.pop()
+                self._free_bytes -= cls
                 self.hits += 1
             else:
-                buf = np.empty(shape, dtype=dt)
+                flat = None
                 self.misses += 1
-            self._out[id(buf)] = buf
-        return buf
+            self._checked_out += 1
+        if flat is None:
+            flat = np.empty(cls, dtype=np.uint8)
+        view = flat[:nbytes].view(dtype).reshape(shape)
+        self._scope.out[id(view)] = (view, flat)
+        return view
 
     def zeros(self, shape, dtype) -> np.ndarray:
         """A zero-filled buffer; pooled when a scope is active."""
@@ -168,35 +210,38 @@ class BufferArena:
     def release(self, buf: np.ndarray) -> None:
         """Return ``buf`` to the pool early for reuse within the step.
 
-        A no-op for arrays the arena does not own, so kernels can call
-        it unconditionally on buffers that may have come from
-        ``np.empty`` outside a scope.
+        A no-op for arrays this thread's scope did not check out, so
+        kernels can call it unconditionally on buffers that may have
+        come from ``np.empty`` outside a scope.
         """
+        owned = self._scope.out.pop(id(buf), None)
+        if owned is None:
+            return
         with self._lock:
-            owned = self._out.pop(id(buf), None)
-            if owned is None:
-                return
-            self._stash_locked(owned)
+            self._checked_out -= 1
+            self._stash_locked(owned[1])
 
     # -- internals ----------------------------------------------------
-    def _stash_locked(self, buf: np.ndarray) -> None:
-        key = (buf.shape, buf.dtype.str)
-        self._free.setdefault(key, []).append(buf)
-        self._free_bytes += buf.nbytes
+    def _stash_locked(self, flat: np.ndarray) -> None:
+        cls = flat.nbytes
+        self._free.setdefault(cls, []).append(flat)
+        self._free_bytes += cls
         self._clock += 1
-        self._lru[key] = self._clock
+        self._lru[cls] = self._clock
 
-    def _recycle_locked(self) -> None:
-        for buf in self._out.values():
-            self._stash_locked(buf)
-        self._out.clear()
-        if self._free_bytes > self.cap_bytes:
-            for key in sorted(self._lru, key=self._lru.get):
-                stack = self._free.pop(key, [])
-                self._free_bytes -= sum(b.nbytes for b in stack)
-                del self._lru[key]
-                if self._free_bytes <= self.cap_bytes:
-                    break
+    def _recycle(self, scope: _ThreadScope) -> None:
+        with self._lock:
+            for _, flat in scope.out.values():
+                self._stash_locked(flat)
+            self._checked_out -= len(scope.out)
+            scope.out.clear()
+            if self._free_bytes > self.cap_bytes:
+                for cls in sorted(self._lru, key=self._lru.get):
+                    stack = self._free.pop(cls, [])
+                    self._free_bytes -= cls * len(stack)
+                    del self._lru[cls]
+                    if self._free_bytes <= self.cap_bytes:
+                        break
 
     def clear(self) -> None:
         """Drop every pooled buffer (checked-out buffers are unaffected)."""
@@ -206,11 +251,14 @@ class BufferArena:
             self._free_bytes = 0
 
     def stats(self) -> Dict[str, int]:
-        """Pool counters: checkout hits/misses and pooled bytes."""
+        """Pool counters: checkout hits/misses, pooled and checked-out counts.
+
+        ``checked_out`` counts the open checkouts of every thread.
+        """
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
                     "free_bytes": self._free_bytes,
-                    "checked_out": len(self._out)}
+                    "checked_out": self._checked_out}
 
     def __repr__(self) -> str:
         s = self.stats()

@@ -7,7 +7,9 @@ for online use —
 
 * requests are coalesced into ``block_size``-user score blocks whose
   buffers come from the engine arena (open an
-  ``arena.step_scope()`` around a burst of calls to recycle them);
+  ``arena.step_scope()`` in the serving thread around a burst of calls
+  to recycle them; scopes are per thread, so a training step's scope
+  in another thread never pools them);
 * ``retrieval="ivf"`` swaps the full ``(b, num_items)`` GEMM for
   per-cell GEMMs over the probed cells of a
   :class:`repro.serve.ann.CoarseIndex` — sublinear in the catalogue

@@ -1,10 +1,15 @@
 """Gradient and semantics tests for every autograd op."""
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.autograd import Tensor, gradcheck, ops
+from repro.engine import arena as arena_mod
+from repro.engine import use_dtype
+from repro.engine.arena import BufferArena
 
 
 def _t(shape, seed=0, scale=1.0):
@@ -248,6 +253,49 @@ class TestNonlinearities:
         np.testing.assert_allclose(out.data, [1.0, 0.0, 1.0])
         np.testing.assert_allclose(a.grad, [1.0, 0.0, 1.0])
         np.testing.assert_allclose(b.grad, [0.0, 1.0, 0.0])
+
+
+class TestLeakyReluFormulas:
+    """``leaky_relu`` is bitwise the literal ``np.where`` formulas.
+
+    Slopes in ``(0, 1]`` run the ``maximum``/``fmax(sign)`` path, the
+    others ``np.where`` itself; both must match on the IEEE edge values,
+    in each engine dtype, pooled in a step scope or not.
+    """
+
+    @staticmethod
+    def _edge_values(dtype):
+        info = np.finfo(dtype)
+        return np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                         info.smallest_subnormal, -info.smallest_subnormal,
+                         info.tiny, -info.tiny, info.max, -info.max,
+                         1.0, -1.0, 3.5, -2.25], dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_bitwise_equal_to_where_formulas(self, dtype, slope, pooled,
+                                             monkeypatch):
+        dt = np.dtype(dtype)
+        values = np.tile(self._edge_values(dt), (3, 1))
+        upstream = np.random.default_rng(0).normal(
+            size=values.shape).astype(dt)
+        mask = values > 0
+        with np.errstate(all="ignore"):
+            expected_out = np.where(mask, values, slope * values)
+            expected_grad = upstream * np.where(mask, dt.type(1.0),
+                                                dt.type(slope))
+        pool = BufferArena(min_bytes=0)
+        monkeypatch.setattr(arena_mod, "_ARENA", pool)
+        scope = pool.step_scope() if pooled else contextlib.nullcontext()
+        with use_dtype(dtype), scope, np.errstate(all="ignore"):
+            a = Tensor(values, requires_grad=True)
+            out = ops.leaky_relu(a, slope)
+            out.backward(upstream)
+            assert out.data.tobytes() == expected_out.tobytes()
+            assert a.grad.tobytes() == expected_grad.tobytes()
+        if pooled and 0.0 < slope <= 1.0:
+            assert pool.stats()["hits"] + pool.stats()["misses"] >= 2
 
 
 class TestDropout:

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from repro.autograd import Tensor, gradcheck, no_grad, ops
 from repro.engine import (
     KernelBackend,
+    instrument,
     available_backends,
     get_backend,
     set_backend,
@@ -110,6 +111,36 @@ class TestOpGradParity:
             assert gradcheck(
                 lambda x, y: ops.sum(ops.gathered_rowwise_dot(x, y, ai, bi)),
                 [a, b])
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_gathered_rowwise_dot_backward_scatters_through_backend(
+            self, backend, rng):
+        """The backward's scatter is the backend's counted kernel.
+
+        Unsorted BPR-style indices with repeats: the gradients equal the
+        literal ``np.add.at`` formulas bit for bit, and each operand's
+        scatter shows up as one ``scatter_add_rows`` call.
+        """
+        a = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+        ai = np.array([5, 0, 3, 0, 5, 1, 2, 0], dtype=np.int64)
+        bi = np.array([7, 2, 2, 6, 0, 1, 7, 3], dtype=np.int64)
+        upstream = rng.normal(size=len(ai)).astype(a.data.dtype)
+        with use_backend(backend):
+            before = instrument.snapshot()
+            out = ops.gathered_rowwise_dot(a, b, ai, bi)
+            out.backward(upstream)
+            after = instrument.snapshot()
+        calls = after.get("calls.scatter_add_rows", 0.0) - before.get(
+            "calls.scatter_add_rows", 0.0)
+        assert calls == 2
+        column = upstream.reshape(-1, 1)
+        expected_a = np.zeros_like(a.data)
+        np.add.at(expected_a, ai, column * b.data[bi])
+        expected_b = np.zeros_like(b.data)
+        np.add.at(expected_b, bi, column * a.data[ai])
+        assert a.grad.tobytes() == expected_a.tobytes()
+        assert b.grad.tobytes() == expected_b.tobytes()
 
     def test_gathered_rowwise_dot_squared_norm(self, rng):
         emb = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
