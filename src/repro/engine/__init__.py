@@ -6,8 +6,8 @@ Five layers (bottom to top):
   (``float64`` default, opt-in ``float32`` via :func:`set_dtype` /
   ``REPRO_ENGINE_DTYPE``) and dtype-derived comparison tolerances;
 * :mod:`repro.engine.backends` — pluggable sparse kernel backends
-  (``"naive"`` loop oracle, ``"fast"`` vectorized CSR), selected via
-  :func:`set_backend` / ``REPRO_ENGINE_BACKEND``;
+  (``"naive"`` loop oracle, ``"fast"`` vectorized CSR, the default),
+  selected via :func:`set_backend` / :func:`use_backend`;
 * :mod:`repro.engine.adjcache` — normalized adjacencies memoized by
   matrix identity + scheme + dtype, so every matrix normalizes once
   per run;

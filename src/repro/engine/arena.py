@@ -34,23 +34,21 @@ module provides a small pool of reusable flat byte buffers keyed by
 Every pooled buffer is fully overwritten before it is read (``zeros``
 clears; ``empty`` callers write every element), so pooled and
 allocate-fresh runs are bitwise identical — the allocate-fresh path
-(``TrainConfig(arena=False)`` or ``REPRO_ENGINE_ARENA=0``) is kept as
-the parity oracle.
+(``TrainConfig(arena=False)``) is kept as the parity oracle.
 
-The pool is capped (``REPRO_ENGINE_ARENA_MB``, default 1024); when the
-cap is exceeded at scope exit the least-recently-used size classes are
-dropped back to the allocator.
+The pool is capped at :data:`CAP_BYTES` (1 GiB); when the cap is
+exceeded at scope exit the least-recently-used size classes are dropped
+back to the allocator.
 
-Buffers below ``REPRO_ENGINE_ARENA_MIN_KB`` (default 64) bypass the
-pool even inside a scope: at tiny shapes the allocator is already
-~free and the per-checkout bookkeeping would dominate, while the RSS
-the arena exists to save lives entirely in the large buffers.
+Buffers below :data:`MIN_BYTES` (64 KiB) bypass the pool even inside a
+scope: at tiny shapes the allocator is already ~free and the
+per-checkout bookkeeping would dominate, while the RSS the arena exists
+to save lives entirely in the large buffers.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from typing import Dict, Iterator, List, Tuple
 
@@ -59,24 +57,11 @@ import numpy as np
 # Smallest size class; every pooled buffer is at least this many bytes.
 _CLASS_FLOOR = 4096
 
+#: Pooled bytes kept across steps before LRU size classes are dropped.
+CAP_BYTES = 1024 * 1024 * 1024
 
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-def _env_cap_bytes() -> int:
-    raw = os.environ.get("REPRO_ENGINE_ARENA_MB")
-    megabytes = int(raw) if raw else 1024
-    return max(0, megabytes) * 1024 * 1024
-
-
-def _env_min_bytes() -> int:
-    raw = os.environ.get("REPRO_ENGINE_ARENA_MIN_KB")
-    kilobytes = int(raw) if raw else 64
-    return max(0, kilobytes) * 1024
+#: Checkouts smaller than this bypass the pool.
+MIN_BYTES = 64 * 1024
 
 
 def _nbytes(shape: Tuple[int, ...], dtype) -> int:
@@ -110,7 +95,7 @@ class _ThreadScope(threading.local):
 class BufferArena:
     """A size-class-keyed pool of reusable flat buffers."""
 
-    def __init__(self, cap_bytes: int = None, min_bytes: int = None):
+    def __init__(self, cap_bytes: int = CAP_BYTES, min_bytes: int = MIN_BYTES):
         self._free: Dict[int, List[np.ndarray]] = {}
         self._lru: Dict[int, int] = {}
         self._scope = _ThreadScope()
@@ -118,8 +103,8 @@ class BufferArena:
         self._free_bytes = 0
         self._checked_out = 0
         self._lock = threading.Lock()
-        self.cap_bytes = _env_cap_bytes() if cap_bytes is None else cap_bytes
-        self.min_bytes = _env_min_bytes() if min_bytes is None else min_bytes
+        self.cap_bytes = cap_bytes
+        self.min_bytes = min_bytes
         self.hits = 0
         self.misses = 0
 
@@ -268,35 +253,10 @@ class BufferArena:
 
 _ARENA = BufferArena()
 
-_ENABLED: bool = _env_flag("REPRO_ENGINE_ARENA", True)
-
 
 def get_arena() -> BufferArena:
     """The process-wide arena instance."""
     return _ARENA
-
-
-def arena_enabled() -> bool:
-    """Whether training loops should open step scopes by default."""
-    return _ENABLED
-
-
-def set_arena_enabled(enabled: bool) -> bool:
-    """Flip the default-on/off switch for training-loop step scopes."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-    return _ENABLED
-
-
-@contextlib.contextmanager
-def use_arena(enabled: bool) -> Iterator[bool]:
-    """Temporarily flip the arena default inside a ``with`` block."""
-    previous = arena_enabled()
-    set_arena_enabled(enabled)
-    try:
-        yield enabled
-    finally:
-        set_arena_enabled(previous)
 
 
 def step_scope():

@@ -18,9 +18,9 @@ optimize every model's hot path:
   mixture as one wide ``(n, d) × (d, |M|·d)`` GEMM plus a batched gate
   contraction, LayerNorm with its row means as BLAS GEMVs).
 
-The active backend is selected with :func:`set_backend`, the
-:func:`use_backend` context manager, or the ``REPRO_ENGINE_BACKEND``
-environment variable at import time; :mod:`repro.autograd.ops` routes
+The active backend (``"fast"`` unless changed) is selected with
+:func:`set_backend` or the :func:`use_backend` context manager;
+:mod:`repro.autograd.ops` routes
 ``spmm`` / ``segment_sum`` / ``gathered_rowwise_dot`` /
 ``memory_mixture`` / ``layer_norm`` / ``bpr_tail`` through it.  Each
 dispatch records call counts, nonzeros, dense-FLOP and bytes-moved
@@ -31,14 +31,13 @@ dtype of their inputs; the engine-wide precision policy lives in
 Orthogonally to backend choice, :mod:`repro.engine.locality` supplies a
 cache-blocked spmm (plus chunked gather and coalescing scatter) that the
 ``fast`` backend switches to when an spmm block budget is active
-(``REPRO_ENGINE_SPMM_BLOCK`` / ``TrainConfig.spmm_block``); the blocked
+(``set_spmm_block`` / ``TrainConfig.spmm_block``); the blocked
 spmm is bitwise identical to the flat kernel.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -740,7 +739,7 @@ def _resolve(backend: Union[str, KernelBackend]) -> KernelBackend:
     return _REGISTRY[backend]
 
 
-_ACTIVE: KernelBackend = _resolve(os.environ.get("REPRO_ENGINE_BACKEND", "fast"))
+_ACTIVE: KernelBackend = _REGISTRY["fast"]
 
 
 def get_backend() -> KernelBackend:

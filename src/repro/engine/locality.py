@@ -38,12 +38,11 @@ range), so the blocked product is **bitwise identical** to
 in ``tests/test_engine_locality.py``).
 
 Policy: blocking is **off by default** and enabled by a byte budget for
-the output tile — ``set_spmm_block``/``use_spmm_block``,
-``TrainConfig.spmm_block``, or ``REPRO_ENGINE_SPMM_BLOCK`` at import
-time (``"auto"`` resolves per call via :func:`resolve_block_bytes`;
-``0``/``"off"`` disables).  Matrices below :data:`MIN_BLOCKED_NNZ` nonzeros always take
-the flat path — per-batch subgraph slices are too short-lived to
-amortize a block build.
+the output tile — ``set_spmm_block``/``use_spmm_block`` or
+``TrainConfig.spmm_block`` (``"auto"`` resolves per call via
+:func:`resolve_block_bytes`; ``0`` disables).  Matrices below
+:data:`MIN_BLOCKED_NNZ` nonzeros always take the flat path — per-batch
+subgraph slices are too short-lived to amortize a block build.
 
 The clustered ``scatter_add_rows`` variant coalesces duplicate sorted
 indices through ``np.add.reduceat`` before one indexed add; it
@@ -55,7 +54,6 @@ when index duplication actually pays for it.
 from __future__ import annotations
 
 import contextlib
-import os
 import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -68,8 +66,8 @@ try:  # pragma: no cover - import guard for exotic scipy builds
 except ImportError:  # pragma: no cover
     _tools = None
 
-#: Sentinel stored by ``REPRO_ENGINE_SPMM_BLOCK=auto``: the byte budget
-#: is resolved per call from the output size (see
+#: Sentinel stored by the ``"auto"`` setting: the byte budget is
+#: resolved per call from the output size (see
 #: :func:`resolve_block_bytes`) instead of being fixed up front.
 AUTO_BLOCK_BYTES = -1
 
@@ -113,20 +111,14 @@ CSC_SPAN_FLOOR = 4096
 def parse_block_setting(value) -> Optional[int]:
     """Normalize a blocking knob value to ``None`` (off) or a byte count.
 
-    Accepts ``None``, integers (``0`` disables), and the string forms
-    used by ``REPRO_ENGINE_SPMM_BLOCK``: ``"auto"``/``"on"``/``"1"``
-    (size-adaptive budget, :data:`AUTO_BLOCK_BYTES`), ``"off"``/``"0"``/
-    ``""`` (disabled), or an explicit byte count.
+    Accepts ``None`` or ``0`` (disabled), ``"auto"`` or ``1`` (the
+    ``TrainConfig.spmm_block`` shorthand) for the size-adaptive budget
+    :data:`AUTO_BLOCK_BYTES`, or an explicit byte count.
     """
     if value is None:
         return None
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("", "0", "off", "false", "no"):
-            return None
-        if text in ("auto", "on", "true", "yes", "1"):
-            return AUTO_BLOCK_BYTES
-        value = int(text)
+    if value == "auto":
+        return AUTO_BLOCK_BYTES
     block = int(value)
     if block == AUTO_BLOCK_BYTES:
         return AUTO_BLOCK_BYTES
@@ -134,7 +126,7 @@ def parse_block_setting(value) -> Optional[int]:
         raise ValueError(f"spmm block bytes must be >= 0, got {block}")
     if block == 0:
         return None
-    if block == 1:  # TrainConfig shorthand mirroring the env "1"
+    if block == 1:
         return AUTO_BLOCK_BYTES
     return block
 
@@ -155,8 +147,7 @@ def resolve_block_bytes(block_bytes: Optional[int],
     return block_bytes
 
 
-_BLOCK_BYTES: Optional[int] = parse_block_setting(
-    os.environ.get("REPRO_ENGINE_SPMM_BLOCK"))
+_BLOCK_BYTES: Optional[int] = None
 
 
 def get_spmm_block() -> Optional[int]:

@@ -49,10 +49,16 @@ def ranks_of_positives(scores: np.ndarray) -> np.ndarray:
 
     Ties between the positive and negatives contribute half a position
     each, making the metric deterministic without favouring either side.
+    NaN scores raise ``ValueError``: every comparison against NaN is
+    false, so a diverged model would otherwise rank every positive first.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("scores must be (num_users, num_candidates)")
+    nan_rows = int(np.isnan(scores).any(axis=1).sum())
+    if nan_rows:
+        raise ValueError(f"NaN candidate scores in {nan_rows} of "
+                         f"{len(scores)} rows; the model has diverged")
     positive = scores[:, :1]
     better = (scores[:, 1:] > positive).sum(axis=1)
     ties = (scores[:, 1:] == positive).sum(axis=1)

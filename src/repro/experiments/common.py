@@ -10,7 +10,6 @@ layouts of the paper.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -25,11 +24,7 @@ from repro.data import (
 from repro.data.sampling import EvalCandidates
 from repro.data.split import Split
 from repro.graph.hetero import CollaborativeHeteroGraph
-from repro.graph.reorder import (
-    NodePermutation,
-    REORDER_STRATEGIES,
-    reorder_split,
-)
+from repro.graph.reorder import NodePermutation, reorder_split
 from repro.models import create_model
 from repro.train import TrainConfig, Trainer, TrainingHistory
 
@@ -57,25 +52,14 @@ class ExperimentContext:
               dataset: Optional[InteractionDataset] = None,
               use_social: bool = True,
               use_item_relations: bool = True,
-              reorder: Optional[str] = None) -> "ExperimentContext":
+              reorder: str = "identity") -> "ExperimentContext":
         """Create the context for a preset name (or an explicit dataset).
 
         ``reorder`` selects a node-reordering strategy (``"identity"``,
         ``"degree"``, ``"rcm"``); the split is built in original ids
         first, then relabeled, so the held-out interactions are the same
-        pairs under any strategy.  When ``reorder`` is ``None`` the
-        ``REPRO_REORDER`` environment variable applies (default
-        ``"identity"``), so the knob reaches CLI runs that never touch
-        this parameter.
+        pairs under any strategy.
         """
-        if reorder is None:
-            env = os.environ.get("REPRO_REORDER")
-            if env is not None:
-                reorder = env.strip().lower()
-                if reorder not in REORDER_STRATEGIES:
-                    raise ValueError(
-                        f"REPRO_REORDER must be one of {REORDER_STRATEGIES}, "
-                        f"got {env!r}")
         if dataset is None:
             if dataset_name not in PRESETS:
                 raise KeyError(f"unknown preset {dataset_name!r}; "
@@ -83,7 +67,7 @@ class ExperimentContext:
             dataset = PRESETS[dataset_name](seed=seed)
         split = leave_one_out(dataset, seed=seed)
         permutation = None
-        if reorder is not None and reorder != "identity":
+        if reorder != "identity":
             split, permutation = reorder_split(split, reorder)
             dataset = split.dataset
         candidates = build_eval_candidates(split, num_negatives=num_negatives,
@@ -132,7 +116,7 @@ def run_model(name: str, context: ExperimentContext,
     from repro.eval import evaluate_model
 
     config = train_config or default_train_config()
-    wanted = config.resolved_reorder()
+    wanted = config.reorder
     actual = (context.permutation.strategy
               if context.permutation is not None else "identity")
     if wanted != actual:

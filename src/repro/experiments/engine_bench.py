@@ -72,29 +72,33 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+from unittest import mock
 
 import numpy as np
 
-from repro.engine import get_cache, instrument, use_backend, use_dtype
+from repro.engine import (get_cache, get_dtype, get_index_dtype, instrument,
+                          use_backend, use_dtype)
 from repro.engine.precision import tolerances
 from repro.experiments.common import ExperimentContext, default_train_config
 from repro.models import create_model
-from repro.models.memory import use_fused_memory
+from repro.models.memory import MemoryBank, mixture_transform_reference
 from repro.train import Trainer
 
 BACKENDS = ("naive", "fast")
 
 PRODUCTION_DTYPE = "float32"
 
-# Environment contracts of the two sweep-7 arms: the benchmarked
-# production path and the allocate-fresh double-precision parity oracle.
+# The two sweep-7 arms: the benchmarked production path and the
+# allocate-fresh double-precision parity oracle.  The precision policy
+# reaches the child through its environment (read at import); the arena
+# switch travels in the child's JSON config as ``TrainConfig.arena``.
 _MEMORY_ARMS = {
-    "production": {"REPRO_ENGINE_DTYPE": "float32",
-                   "REPRO_ENGINE_INDEX_DTYPE": "int32",
-                   "REPRO_ENGINE_ARENA": "1"},
-    "oracle": {"REPRO_ENGINE_DTYPE": "float64",
-               "REPRO_ENGINE_INDEX_DTYPE": "int64",
-               "REPRO_ENGINE_ARENA": "0"},
+    "production": {"env": {"REPRO_ENGINE_DTYPE": "float32",
+                           "REPRO_ENGINE_INDEX_DTYPE": "int32"},
+                   "arena": True},
+    "oracle": {"env": {"REPRO_ENGINE_DTYPE": "float64",
+                       "REPRO_ENGINE_INDEX_DTYPE": "int64"},
+               "arena": False},
 }
 
 
@@ -413,10 +417,12 @@ def run_memory_kernel_bench(
         context: Optional[ExperimentContext] = None) -> Dict[str, float]:
     """Fused vs unfused memory-mixture on the DGNN forward+backward.
 
-    The same model instance and triple batch run under both paths
-    (toggled with :func:`repro.models.memory.use_fused_memory`), so the
-    only difference is the mixture implementation.  Returns best-of-N
-    seconds per step for each path plus their ratio.
+    The same model instance and triple batch run under both paths (the
+    unfused arm patches
+    :func:`~repro.models.memory.mixture_transform_reference` in as
+    ``MemoryBank.mixture_transform``), so the only difference is the
+    mixture implementation.  Returns best-of-N seconds per step for each
+    path plus their ratio.
     """
     from repro.data.sampling import BprSampler
 
@@ -426,10 +432,12 @@ def run_memory_kernel_bench(
                          seed=seed, num_layers=num_layers)
     sampler = BprSampler(context.split, batch_size=batch_size, seed=seed)
     users, positives, negatives = sampler.sample()
-    with use_fused_memory(False):
+    with mock.patch.object(
+            MemoryBank, "mixture_transform",
+            lambda bank, embeddings, gates: mixture_transform_reference(
+                embeddings, gates, bank.transforms)):
         unfused = _bpr_step_seconds(model, users, positives, negatives, repeats)
-    with use_fused_memory(True):
-        fused = _bpr_step_seconds(model, users, positives, negatives, repeats)
+    fused = _bpr_step_seconds(model, users, positives, negatives, repeats)
     return {
         "fused_seconds": fused,
         "unfused_seconds": unfused,
@@ -715,6 +723,7 @@ def _memory_workload(cfg: Dict) -> Dict[str, object]:
     preset = cfg["preset"]
     seed = int(cfg.get("seed", 0))
     epochs = int(cfg.get("epochs", 2))
+    arena = bool(cfg.get("arena", True))
     dataset = PRESETS[preset](seed)
     if preset == "xlarge":
         split = leave_last_out(dataset, max_test_users=2000, seed=seed)
@@ -722,14 +731,15 @@ def _memory_workload(cfg: Dict) -> Dict[str, object]:
             epochs=epochs, batch_size=int(cfg.get("batch_size", 1024)),
             batches_per_epoch=int(cfg.get("batches_per_epoch", 8)),
             propagation="minibatch", fanout=10, prefetch=False,
-            eval_every=max(epochs, 1), patience=None, seed=seed)
+            arena=arena, eval_every=max(epochs, 1), patience=None,
+            seed=seed)
     else:
         split = leave_one_out(dataset, seed=seed)
         config = TrainConfig(
             epochs=epochs, batch_size=int(cfg.get("batch_size", 2048)),
             batches_per_epoch=int(cfg.get("batches_per_epoch", 6)),
-            propagation="full", eval_every=max(epochs, 1), patience=None,
-            seed=seed)
+            propagation="full", arena=arena, eval_every=max(epochs, 1),
+            patience=None, seed=seed)
     graph = CollaborativeHeteroGraph(dataset, split.train_pairs)
     candidates = build_eval_candidates(split, num_negatives=50, seed=seed)
     with use_backend("fast"):
@@ -748,9 +758,9 @@ def _memory_workload(cfg: Dict) -> Dict[str, object]:
         "num_nodes": int(dataset.num_users + dataset.num_items
                          + dataset.num_relations),
         "num_interactions": int(len(dataset.interactions)),
-        "dtype": os.environ.get("REPRO_ENGINE_DTYPE", "float64"),
-        "index_dtype": os.environ.get("REPRO_ENGINE_INDEX_DTYPE", "int32"),
-        "arena": os.environ.get("REPRO_ENGINE_ARENA", "1"),
+        "dtype": get_dtype().name,
+        "index_dtype": get_index_dtype().name,
+        "arena": "1" if arena else "0",
         "peak_rss_mb": _peak_rss_mb(),
     }
 
@@ -762,7 +772,7 @@ def _memory_child() -> None:  # pragma: no cover - exercised via subprocess
     Path(cfg["output"]).write_text(json.dumps(result))
 
 
-def _run_memory_arm(cfg: Dict, arm_env: Dict[str, str],
+def _run_memory_arm(cfg: Dict, arm: Dict[str, object],
                     timeout: float) -> Dict[str, object]:
     """Run one sweep-7 arm in a fresh subprocess and return its report.
 
@@ -775,8 +785,9 @@ def _run_memory_arm(cfg: Dict, arm_env: Dict[str, str],
     with tempfile.TemporaryDirectory(prefix="repro-membench-") as tmpdir:
         output = Path(tmpdir) / "result.json"
         env = dict(os.environ)
-        env.update(arm_env)
-        env["REPRO_MEMBENCH_CONFIG"] = json.dumps({**cfg, "output": str(output)})
+        env.update(arm["env"])
+        env["REPRO_MEMBENCH_CONFIG"] = json.dumps(
+            {**cfg, "arena": arm["arena"], "output": str(output)})
         package_root = str(Path(repro.__file__).resolve().parents[1])
         previous = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (package_root if not previous
@@ -818,8 +829,8 @@ def run_memory_bench(
     else:
         arms = _MEMORY_ARMS
     section: Dict[str, object] = {}
-    for name, arm_env in arms.items():
-        section[name] = _run_memory_arm(cfg, arm_env, timeout)
+    for name, arm in arms.items():
+        section[name] = _run_memory_arm(cfg, arm, timeout)
     production = section.get("production")
     oracle = section.get("oracle")
     if isinstance(production, dict) and isinstance(oracle, dict):
@@ -970,6 +981,7 @@ def _parallel_workload(cfg: Dict) -> Dict[str, object]:
     preset = cfg["preset"]
     seed = int(cfg.get("seed", 0))
     epochs = int(cfg.get("epochs", 2))
+    arena = bool(cfg.get("arena", True))
     workers = int(cfg.get("workers", 1))
     dataset = PRESETS[preset](seed)
     split = leave_one_out(dataset, seed=seed)

@@ -30,8 +30,9 @@ same CSR, and ties break identically.  The IVF mode is deterministic
 given the index's build seed but trades that exactness for sublinear
 cost (recall against exact is measured and gated in sweep 8).  Knobs:
 ``retrieval``, ``block_size``, and the index parameters forwarded to
-:mod:`repro.serve.ann`; buffer pooling follows the engine arena policy
-(``REPRO_ENGINE_ARENA*`` — see ``docs/operations.md``).
+:mod:`repro.serve.ann`; buffer pooling follows the process arena
+(:mod:`repro.engine.arena`): it engages only inside a step scope the
+serving thread opens itself.
 """
 
 from __future__ import annotations

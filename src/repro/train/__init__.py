@@ -9,12 +9,7 @@ from repro.train.parallel import (
     fit_model,
     train_and_publish,
 )
-from repro.train.pipeline import (
-    MinibatchPlanner,
-    MinibatchStep,
-    PrefetchPipeline,
-    prefetch_enabled,
-)
+from repro.train.pipeline import MinibatchPlanner, MinibatchStep, PrefetchPipeline
 from repro.train.checkpoint import (
     save_checkpoint,
     load_checkpoint,
@@ -36,7 +31,6 @@ __all__ = [
     "MinibatchPlanner",
     "MinibatchStep",
     "PrefetchPipeline",
-    "prefetch_enabled",
     "save_checkpoint",
     "load_checkpoint",
     "restore_model",

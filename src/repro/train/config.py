@@ -7,7 +7,6 @@ Adam with learning rate 0.01, embedding dimension 16, batch size in the
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -29,14 +28,14 @@ class TrainConfig:
     propagation: str = "full"  # "full" (Alg. 1) or "minibatch" (sampled)
     hops: Optional[int] = None  # minibatch closure depth; None -> model's exact depth
     fanout: Optional[int] = 20  # per-node neighbour cap; None -> keep all
-    prefetch: Optional[bool] = None  # None -> REPRO_PREFETCH env (default on)
+    prefetch: bool = True  # build the next minibatch's subgraph on a worker thread
     sparse_grads: Optional[bool] = None  # None -> on for minibatch, off for full
     sparse_adam_mode: str = "lazy"  # "lazy" (O(batch) steps) or "dense_correct"
-    arena: Optional[bool] = None  # None -> REPRO_ENGINE_ARENA env (default on)
+    arena: bool = True  # False -> allocate-fresh parity oracle
     compile: Optional[bool] = None  # removed step compiler; only None/False accepted
-    workers: Optional[int] = None  # None -> REPRO_WORKERS env (default 0 = single-process)
-    parallel_mode: Optional[str] = None  # None -> REPRO_PARALLEL_MODE env (default "hogwild")
-    reorder: Optional[str] = None  # None -> REPRO_REORDER env (default "identity")
+    workers: int = 0  # 0 -> in-process Trainer; >= 1 -> ParallelTrainer
+    parallel_mode: str = "hogwild"  # "hogwild" or "sync"
+    reorder: str = "identity"  # node relabeling the run's context was built with
     spmm_block: Optional[int] = None  # None -> engine setting; 0 off, 1 auto, else bytes
     eval_every: int = 1
     eval_ks: Tuple[int, ...] = (5, 10, 20)
@@ -66,17 +65,19 @@ class TrainConfig:
         if self.sparse_adam_mode not in ("lazy", "dense_correct"):
             raise ValueError(
                 "sparse_adam_mode must be 'lazy' or 'dense_correct'")
-        if self.workers is not None and self.workers < 0:
+        if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = single-process)")
-        if (self.parallel_mode is not None
-                and self.parallel_mode not in _PARALLEL_MODES):
+        if self.workers > 0 and self.propagation != "minibatch":
+            raise ValueError(
+                f"workers={self.workers} requires propagation='minibatch': "
+                f"full-graph steps touch every row, which defeats both "
+                f"sharding and row-sparse hogwild writes")
+        if self.parallel_mode not in _PARALLEL_MODES:
             raise ValueError(
                 f"parallel_mode must be one of {_PARALLEL_MODES}")
-        if self.reorder is not None:
-            from repro.graph.reorder import REORDER_STRATEGIES
-            if self.reorder not in REORDER_STRATEGIES:
-                raise ValueError(
-                    f"reorder must be one of {REORDER_STRATEGIES}")
+        from repro.graph.reorder import REORDER_STRATEGIES
+        if self.reorder not in REORDER_STRATEGIES:
+            raise ValueError(f"reorder must be one of {REORDER_STRATEGIES}")
         if self.spmm_block is not None and self.spmm_block < 0:
             raise ValueError("spmm_block must be >= 0 (0 = flat kernels)")
         if self.compile:
@@ -96,86 +97,14 @@ class TrainConfig:
             return bool(self.sparse_grads)
         return self.propagation == "minibatch"
 
-    def resolved_arena(self) -> bool:
-        """Whether training steps run inside a buffer-arena scope.
-
-        On by default: pooled buffers are fully overwritten before use,
-        so pooled and allocate-fresh runs are bitwise identical.
-        ``arena=False`` (or ``REPRO_ENGINE_ARENA=0``) keeps the
-        allocate-fresh path as the parity oracle.
-        """
-        if self.arena is not None:
-            return bool(self.arena)
-        from repro.engine.arena import arena_enabled
-        return arena_enabled()
-
-    def resolved_workers(self) -> int:
-        """Trainer worker processes: explicit setting, else ``REPRO_WORKERS``.
-
-        ``0`` (the default) keeps the in-process
-        :class:`~repro.train.trainer.Trainer`; any positive count selects
-        the shared-memory :class:`~repro.train.parallel.ParallelTrainer`
-        (which requires ``propagation="minibatch"``).
-        """
-        if self.workers is not None:
-            return int(self.workers)
-        env = os.environ.get("REPRO_WORKERS")
-        if env is None:
-            return 0
-        workers = int(env)
-        if workers < 0:
-            raise ValueError(f"REPRO_WORKERS must be >= 0, got {env!r}")
-        return workers
-
-    def resolved_parallel_mode(self) -> str:
-        """Update mode for parallel training: setting, else ``REPRO_PARALLEL_MODE``.
-
-        ``"hogwild"`` applies lock-free row-sparse updates from every
-        worker; ``"sync"`` merges each round's coalesced gradients in a
-        parent-side reducer and is bitwise-reproducible at any worker
-        count.
-        """
-        if self.parallel_mode is not None:
-            return self.parallel_mode
-        env = os.environ.get("REPRO_PARALLEL_MODE")
-        if env is None:
-            return "hogwild"
-        mode = env.strip().lower()
-        if mode not in _PARALLEL_MODES:
-            raise ValueError(
-                f"REPRO_PARALLEL_MODE must be one of {_PARALLEL_MODES}, "
-                f"got {env!r}")
-        return mode
-
-    def resolved_reorder(self) -> str:
-        """Node-reordering strategy: explicit setting, else ``REPRO_REORDER``.
-
-        ``"identity"`` (the default) keeps original ids and is the parity
-        oracle; ``"degree"`` and ``"rcm"`` permute node ids at load time
-        behind a :class:`~repro.graph.reorder.NodePermutation` boundary
-        so every external output stays in original ids.
-        """
-        from repro.graph.reorder import REORDER_STRATEGIES
-        if self.reorder is not None:
-            return self.reorder
-        env = os.environ.get("REPRO_REORDER")
-        if env is None:
-            return "identity"
-        strategy = env.strip().lower()
-        if strategy not in REORDER_STRATEGIES:
-            raise ValueError(
-                f"REPRO_REORDER must be one of {REORDER_STRATEGIES}, "
-                f"got {env!r}")
-        return strategy
-
     def resolved_spmm_block(self):
         """Blocked-spmm byte budget for this run (``None`` = flat kernels).
 
         An explicit ``spmm_block`` goes through
         :func:`repro.engine.locality.parse_block_setting` (``0`` off,
         ``1`` the auto per-call budget, else bytes); otherwise the
-        engine-wide setting (``REPRO_ENGINE_SPMM_BLOCK`` /
-        :func:`~repro.engine.locality.set_spmm_block`) applies.
+        engine-wide setting (:func:`~repro.engine.locality.set_spmm_block`)
+        applies.
         """
         from repro.engine import locality
         if self.spmm_block is not None:

@@ -38,10 +38,9 @@ mode — is **bitwise-identical** to the single-process ``Trainer``
 (asserted in tier-1), and sync mode at fixed ``W`` is bitwise-
 reproducible run to run.  Hogwild at ``W >= 2`` is deliberately racy.
 
-Knobs: ``TrainConfig.workers`` / ``REPRO_WORKERS`` (0 = single-process),
-``TrainConfig.parallel_mode`` / ``REPRO_PARALLEL_MODE``; the worker
-step inherits everything else the in-process trainer honors —
-``REPRO_PREFETCH``/``prefetch``, ``REPRO_ENGINE_ARENA``/``arena``,
+Knobs: ``TrainConfig.workers`` (0 = single-process) and
+``TrainConfig.parallel_mode``; the worker step inherits everything else
+the in-process trainer honors — ``prefetch``, ``arena``,
 ``sparse_grads``, ``clip_norm``, and the engine dtype/index policies.
 :func:`fit_model` dispatches between the two trainers from the config,
 and :func:`train_and_publish` closes the loop with the serving layer by
@@ -70,11 +69,7 @@ from repro.models.base import Recommender
 from repro.nn.optim import SGD, Adam, clip_grad_norm
 from repro.train.config import TrainConfig
 from repro.train.early_stopping import EarlyStopping
-from repro.train.pipeline import (
-    MinibatchPlanner,
-    PrefetchPipeline,
-    prefetch_enabled,
-)
+from repro.train.pipeline import MinibatchPlanner, PrefetchPipeline
 from repro.train.trainer import Trainer, TrainingHistory
 
 
@@ -245,8 +240,8 @@ class ParallelTrainer:
                 "ParallelTrainer requires propagation='minibatch': full-graph "
                 "steps touch every row, which defeats both sharding and "
                 "row-sparse hogwild writes")
-        self.workers = max(1, self.config.resolved_workers())
-        self.mode = self.config.resolved_parallel_mode()
+        self.workers = max(1, self.config.workers)
+        self.mode = self.config.parallel_mode
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "ParallelTrainer needs the 'fork' start method (POSIX); "
@@ -271,7 +266,6 @@ class ParallelTrainer:
                                   weight_decay=self.config.weight_decay,
                                   sparse_mode=self.config.sparse_adam_mode)
         self._sparse_grads = self.config.resolved_sparse_grads()
-        self._arena = self.config.resolved_arena()
         hops = (self.config.hops if self.config.hops is not None
                 else model.minibatch_hops())
         self._planner = MinibatchPlanner(
@@ -286,7 +280,7 @@ class ParallelTrainer:
     # Shared helpers (parent and worker)
     # ------------------------------------------------------------------
     def _step_scope(self):
-        if self._arena:
+        if self.config.arena:
             return arena.step_scope()
         return contextlib.nullcontext()
 
@@ -312,7 +306,7 @@ class ParallelTrainer:
             self.model.train()
             steps = self._planner.plan_shard(batches, epoch,
                                              worker_id, self.workers)
-            if prefetch_enabled(self.config.prefetch):
+            if self.config.prefetch:
                 state["pipeline"] = PrefetchPipeline(
                     steps, name=f"repro-prefetch-w{worker_id}")
                 steps = state["pipeline"]
@@ -610,12 +604,12 @@ def fit_model(model: Recommender, split: Split,
               candidates: Optional[EvalCandidates] = None) -> TrainingHistory:
     """Train with the trainer the config selects and return the history.
 
-    ``config.resolved_workers() == 0`` (the default) uses the in-process
+    ``config.workers == 0`` (the default) uses the in-process
     :class:`~repro.train.trainer.Trainer`; any positive worker count
     uses :class:`ParallelTrainer` over shared-memory tables.
     """
     config = config or TrainConfig()
-    if config.resolved_workers() > 0:
+    if config.workers > 0:
         return ParallelTrainer(model, split, config, candidates).fit()
     return Trainer(model, split, config, candidates).fit()
 

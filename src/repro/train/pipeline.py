@@ -19,13 +19,11 @@ the training step:
   consumer.
 
 The :class:`~repro.train.trainer.Trainer` turns prefetch on per
-``TrainConfig.prefetch`` or, when that is left ``None``, the
-``REPRO_PREFETCH`` environment variable (default: on).
+``TrainConfig.prefetch`` (default: on).
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -37,18 +35,6 @@ import numpy as np
 from repro.graph.sampling import sample_subgraph_view
 
 _DONE = object()
-
-_FALSY = {"0", "false", "off", "no"}
-
-
-def prefetch_enabled(setting: Optional[bool]) -> bool:
-    """Resolve the prefetch toggle: explicit setting, else ``REPRO_PREFETCH``."""
-    if setting is not None:
-        return bool(setting)
-    env = os.environ.get("REPRO_PREFETCH")
-    if env is None:
-        return True
-    return env.strip().lower() not in _FALSY
 
 
 @dataclass

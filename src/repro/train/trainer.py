@@ -24,19 +24,23 @@ and dropout draws are all derived from ``TrainConfig.seed``, so equal
 configs reproduce bitwise.  Prefetch cannot change results (the planner
 stream is identical either way), and the multi-process
 :class:`~repro.train.parallel.ParallelTrainer` holds a 1-worker run
-bitwise-identical to this class.  Environment-resolved knobs
-(``REPRO_PREFETCH``, ``REPRO_ENGINE_ARENA``, ``REPRO_WORKERS``,
-``REPRO_PARALLEL_MODE``, ``REPRO_ENGINE_SPMM_BLOCK``, ``REPRO_REORDER``)
-are documented field-by-field in ``docs/operations.md``.
+bitwise-identical to this class.  Every knob is a ``TrainConfig``
+field, documented field-by-field in ``docs/operations.md``.
+
+A step whose loss is not finite stops the run with a
+``FloatingPointError`` naming the epoch, the step and the first
+parameter holding a non-finite value, instead of training on.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import contextlib
+import numpy as np
 
 from repro.autograd.sparse import use_sparse_grads
 from repro.data.sampling import BprSampler, EvalCandidates, build_eval_candidates
@@ -49,11 +53,7 @@ from repro.models.base import Recommender
 from repro.nn.optim import SGD, Adam, clip_grad_norm
 from repro.train.config import TrainConfig
 from repro.train.early_stopping import EarlyStopping
-from repro.train.pipeline import (
-    MinibatchPlanner,
-    PrefetchPipeline,
-    prefetch_enabled,
-)
+from repro.train.pipeline import MinibatchPlanner, PrefetchPipeline
 
 
 @dataclass
@@ -159,7 +159,6 @@ class Trainer:
                                   weight_decay=self.config.weight_decay,
                                   sparse_mode=self.config.sparse_adam_mode)
         self._sparse_grads = self.config.resolved_sparse_grads()
-        self._arena = self.config.resolved_arena()
         self._epoch_touched: List[float] = []
         self._planner: Optional[MinibatchPlanner] = None
         if self.config.propagation == "minibatch":
@@ -190,14 +189,32 @@ class Trainer:
         update; by scope exit every gradient has been consumed and the
         loss value read, so the step's buffers recycle safely.
         """
-        if self._arena:
+        if self.config.arena:
             return arena.step_scope()
         return contextlib.nullcontext()
 
-    def _full_epoch(self, batches: int) -> Tuple[float, float, float]:
+    def _check_finite(self, value: float, epoch: int, step: int) -> None:
+        """Raise when a step's loss is not finite, naming where and why.
+
+        Only the loss scalar the loop reads anyway is checked per step,
+        before the update can spread a bad value into every parameter;
+        the parameters are scanned only once the loss has gone bad.
+        """
+        if math.isfinite(value):
+            return
+        culprit = next((name for name, param in self.model.named_parameters()
+                        if not np.isfinite(param.data).all()), None)
+        where = (f"first non-finite parameter: {culprit!r}" if culprit
+                 else "every parameter is still finite")
+        raise FloatingPointError(
+            f"non-finite training loss {value} at epoch {epoch}, step "
+            f"{step} ({where})")
+
+    def _full_epoch(self, epoch: int,
+                    batches: int) -> Tuple[float, float, float]:
         """Alg. 1: full-graph propagation per batch."""
         epoch_loss = sample_seconds = compute_seconds = 0.0
-        for _ in range(batches):
+        for step in range(batches):
             start = time.perf_counter()
             users, positives, negatives = self.sampler.sample()
             sample_seconds += time.perf_counter() - start
@@ -206,8 +223,10 @@ class Trainer:
                 self.optimizer.zero_grad()
                 loss = self.model.bpr_loss(users, positives, negatives,
                                            l2=self.config.l2)
+                value = loss.item()
+                self._check_finite(value, epoch, step)
                 self._apply_gradients(loss)
-                epoch_loss += loss.item()
+                epoch_loss += value
                 del loss
             compute_seconds += time.perf_counter() - start
         return epoch_loss, sample_seconds, compute_seconds
@@ -223,12 +242,12 @@ class Trainer:
         """
         steps = self._planner.plan(batches, epoch)
         pipeline = None
-        if prefetch_enabled(self.config.prefetch):
+        if self.config.prefetch:
             pipeline = PrefetchPipeline(steps)
             steps = pipeline
         epoch_loss = sample_seconds = compute_seconds = 0.0
         try:
-            for step in steps:
+            for index, step in enumerate(steps):
                 sample_seconds += step.sample_seconds
                 start = time.perf_counter()
                 with self._step_scope():
@@ -236,8 +255,10 @@ class Trainer:
                     loss = self.model.bpr_loss_on(
                         step.subgraph, step.users, step.positives,
                         step.negatives, l2=self.config.l2)
+                    value = loss.item()
+                    self._check_finite(value, epoch, index)
                     self._apply_gradients(loss)
-                    epoch_loss += loss.item()
+                    epoch_loss += value
                     del loss
                 compute_seconds += time.perf_counter() - start
         finally:
@@ -273,7 +294,7 @@ class Trainer:
                         self._minibatch_epoch(epoch, batches))
                 else:
                     epoch_loss, sample_seconds, compute_seconds = (
-                        self._full_epoch(batches))
+                        self._full_epoch(epoch, batches))
             self.model.invalidate_cache()
             history.losses.append(epoch_loss / batches)
             history.train_seconds.append(time.perf_counter() - start)

@@ -26,16 +26,12 @@ import pytest
 from repro.autograd.sparse import use_sparse_grads
 from repro.engine import arena as arena_mod
 from repro.engine import use_backend
-from repro.engine.arena import (
-    BufferArena,
-    arena_enabled,
-    size_class,
-    use_arena,
-)
+from repro.engine.arena import BufferArena, size_class
 from repro.graph import CollaborativeHeteroGraph
 from repro.graph.sampling import sample_subgraph_view
 from repro.models import create_model
 from repro.nn.optim import Adam
+from repro.train import TrainConfig, Trainer
 
 # 512 KB in float64 — comfortably above the default 64 KB bypass.
 BIG = (256, 256)
@@ -256,25 +252,32 @@ class TestSmallBufferBypass:
 
 
 class TestToggles:
-    def test_use_arena_restores_default(self):
-        before = arena_enabled()
-        with use_arena(not before):
-            assert arena_enabled() is (not before)
-        assert arena_enabled() is before
+    """The arena has no environment switches: the cap and floor are
+    module constants and ``TrainConfig.arena`` is the only on/off."""
 
     def test_env_knobs(self, monkeypatch):
+        # The variables that once set the cap and floor are inert.
         monkeypatch.setenv("REPRO_ENGINE_ARENA_MB", "2")
         monkeypatch.setenv("REPRO_ENGINE_ARENA_MIN_KB", "8")
         pool = BufferArena()
-        assert pool.cap_bytes == 2 * 1024 * 1024
-        assert pool.min_bytes == 8 * 1024
+        assert pool.cap_bytes == arena_mod.CAP_BYTES == 1024 * 1024 * 1024
+        assert pool.min_bytes == arena_mod.MIN_BYTES == 64 * 1024
 
-    def test_env_flag_off_values(self, monkeypatch):
+    def test_env_flag_off_values(self, tiny_graph, tiny_split,
+                                 tiny_candidates, monkeypatch):
+        # The off values of the former arena flag leave pooling on.
+        pooled = BufferArena(min_bytes=0)
+        monkeypatch.setattr(arena_mod, "_ARENA", pooled)
         for raw in ("0", "false", "off", "no", ""):
             monkeypatch.setenv("REPRO_ENGINE_ARENA", raw)
-            assert arena_mod._env_flag("REPRO_ENGINE_ARENA", True) is False
-        monkeypatch.setenv("REPRO_ENGINE_ARENA", "1")
-        assert arena_mod._env_flag("REPRO_ENGINE_ARENA", False) is True
+            config = TrainConfig(epochs=1, batch_size=64,
+                                 batches_per_epoch=2, patience=None)
+            assert config.arena is True
+            model = create_model("lightgcn", tiny_graph, embed_dim=8,
+                                 seed=0)
+            hits = pooled.hits
+            Trainer(model, tiny_split, config, tiny_candidates).fit()
+            assert pooled.hits > hits, raw
 
 
 def _train_run(dataset, split, steps=3):
@@ -342,7 +345,6 @@ def _assert_pooled_run_is_bitwise_fresh(run, dataset, split, monkeypatch):
     assert eager.hits > 0  # pooling actually engaged
 
     monkeypatch.setattr(arena_mod, "_ARENA", BufferArena(cap_bytes=0))
-    monkeypatch.setattr(arena_mod, "_ENABLED", False)
     fresh_losses, fresh_params = run(dataset, split)
 
     assert pooled_losses == fresh_losses
@@ -365,6 +367,30 @@ class TestAllocateFreshParity:
         size class."""
         _assert_pooled_run_is_bitwise_fresh(_minibatch_run, tiny_dataset,
                                             tiny_split, monkeypatch)
+
+    @pytest.mark.parametrize("propagation", ["full", "minibatch"])
+    def test_train_config_arena_false_is_the_bitwise_oracle(
+            self, tiny_graph, tiny_split, tiny_candidates, monkeypatch,
+            propagation):
+        """``TrainConfig(arena=False)`` trains bitwise like the pooled
+        default — with every buffer pooled, so the pool really engages."""
+        pooled = BufferArena(min_bytes=0)
+        monkeypatch.setattr(arena_mod, "_ARENA", pooled)
+        runs = {}
+        for arena in (True, False):
+            model = create_model("dgnn", tiny_graph, embed_dim=8, seed=0)
+            config = TrainConfig(epochs=2, batch_size=64, batches_per_epoch=3,
+                                 propagation=propagation, arena=arena,
+                                 patience=None)
+            hits = pooled.hits
+            history = Trainer(model, tiny_split, config, tiny_candidates).fit()
+            assert (pooled.hits > hits) is arena
+            runs[arena] = (history.losses,
+                           {name: param.data.copy()
+                            for name, param in model.named_parameters()})
+        assert runs[True][0] == runs[False][0]
+        for name, value in runs[True][1].items():
+            assert np.array_equal(value, runs[False][1][name]), name
 
 
 class TestStepScopeExceptionSafety:

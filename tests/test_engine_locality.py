@@ -47,14 +47,10 @@ def _clean_block_state():
 def test_parse_block_setting_forms():
     assert locality.parse_block_setting(None) is None
     assert locality.parse_block_setting(0) is None
-    assert locality.parse_block_setting("off") is None
-    assert locality.parse_block_setting("") is None
     auto = locality.AUTO_BLOCK_BYTES
     assert locality.parse_block_setting("auto") == auto
-    assert locality.parse_block_setting("on") == auto
-    assert locality.parse_block_setting("1") == auto
     assert locality.parse_block_setting(1) == auto
-    assert locality.parse_block_setting("65536") == 65536
+    assert locality.parse_block_setting(auto) == auto
     assert locality.parse_block_setting(65536) == 65536
     with pytest.raises(ValueError):
         locality.parse_block_setting(-4)
@@ -280,15 +276,3 @@ def test_scatter_clustered_declines_unsorted_or_sparse_duplicates():
     # Sorted but duplicate-light: reduceat overhead is not worth it.
     assert not locality.scatter_add_rows_clustered(
         grad, np.array([0, 1, 2, 3]), out)
-
-
-def test_env_var_controls_default_block(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_SPMM_BLOCK", "auto")
-    assert locality.parse_block_setting(
-        "auto") == locality.AUTO_BLOCK_BYTES
-    # The module-level default is read at import; the runtime setter is
-    # the live control and accepts the same spellings.
-    set_spmm_block("auto")
-    assert get_spmm_block() == locality.AUTO_BLOCK_BYTES
-    set_spmm_block("off")
-    assert get_spmm_block() is None

@@ -20,12 +20,7 @@ import pytest
 
 from repro.autograd import Tensor, gradcheck, ops
 from repro.engine import instrument, tolerances, use_backend, use_dtype
-from repro.models.memory import (
-    MemoryBank,
-    fused_memory_enabled,
-    set_fused_memory,
-    use_fused_memory,
-)
+from repro.models.memory import MemoryBank, mixture_transform_reference
 
 ALL_BACKENDS = ("naive", "fast")
 
@@ -190,13 +185,6 @@ class TestKernelParityAtScale:
 
 
 class TestMemoryBankAdoption:
-    def test_fused_toggle_roundtrip(self):
-        assert fused_memory_enabled()
-        with use_fused_memory(False):
-            assert not fused_memory_enabled()
-        assert fused_memory_enabled()
-        set_fused_memory(True)
-
     def test_fused_matches_unfused_forward_and_grads(self, rng):
         bank = MemoryBank(6, 4, np.random.default_rng(0))
         values = rng.normal(size=(9, 6))
@@ -204,9 +192,12 @@ class TestMemoryBankAdoption:
         def run(fused):
             emb = Tensor(values.copy(), requires_grad=True)
             bank.zero_grad()
-            with use_fused_memory(fused):
-                out = bank.encode_self(emb)
-                ops.sum(out).backward()
+            gates = bank.gates(emb)
+            if fused:
+                out = bank.mixture_transform(emb, gates)
+            else:
+                out = mixture_transform_reference(emb, gates, bank.transforms)
+            ops.sum(out).backward()
             return (out.data.copy(), emb.grad.copy(),
                     {name: p.grad.copy() for name, p in bank.named_parameters()})
 
@@ -231,10 +222,9 @@ class TestMemoryBankAdoption:
         def graph_size(output):
             return len(output._topological_order())
 
-        with use_fused_memory(True):
-            fused_nodes = graph_size(bank.mixture_transform(emb, gates))
-        with use_fused_memory(False):
-            unfused_nodes = graph_size(bank.mixture_transform(emb, gates))
+        fused_nodes = graph_size(bank.mixture_transform(emb, gates))
+        unfused_nodes = graph_size(
+            mixture_transform_reference(emb, gates, bank.transforms))
         assert fused_nodes == 4  # emb, gates, transforms, fused output
         assert unfused_nodes > fused_nodes
 

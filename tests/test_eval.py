@@ -31,6 +31,25 @@ class TestRanks:
         with pytest.raises(ValueError):
             ranks_of_positives(np.array([1.0, 2.0]))
 
+    def test_nan_scores_raise_naming_the_row_count(self):
+        # NaN compares false both ways, so without the check these rows
+        # would rank their positive first and report a perfect hit.
+        scores = np.array([[np.nan, 1.0, 2.0],
+                           [3.0, 1.0, 2.0],
+                           [0.5, np.nan, 2.0]])
+        with pytest.raises(ValueError, match="2 of 3 rows"):
+            ranks_of_positives(scores)
+
+    def test_diverged_model_does_not_score_perfectly(self, tiny_graph,
+                                                     tiny_candidates):
+        from repro.eval import evaluate_model
+        from repro.models import create_model
+
+        model = create_model("dgnn", tiny_graph, embed_dim=8, seed=0)
+        model.user_embedding.weight.data[0, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN candidate scores"):
+            evaluate_model(model, tiny_candidates, ks=(10,))
+
 
 class TestHitRate:
     def test_exact_fraction(self):

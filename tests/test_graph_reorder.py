@@ -219,19 +219,17 @@ def test_checkpoint_without_permutation_reports_none(base_split, tmp_path):
 # ----------------------------------------------------------------------
 # Experiment-layer wiring
 # ----------------------------------------------------------------------
-def test_experiment_context_honours_reorder_env(monkeypatch):
+def test_experiment_context_applies_reorder_parameter(monkeypatch):
     from repro.experiments import ExperimentContext
 
+    # The parameter is the only switch: the environment is not read.
     monkeypatch.setenv("REPRO_REORDER", "degree")
-    ctx = ExperimentContext.build("tiny")
+    assert ExperimentContext.build("tiny").permutation is None
+    ctx = ExperimentContext.build("tiny", reorder="degree")
     assert ctx.permutation is not None
     assert ctx.permutation.strategy == "degree"
-    # An explicit parameter wins over the environment.
-    explicit = ExperimentContext.build("tiny", reorder="identity")
-    assert explicit.permutation is None
-    monkeypatch.setenv("REPRO_REORDER", "zigzag")
     with pytest.raises(ValueError):
-        ExperimentContext.build("tiny")
+        ExperimentContext.build("tiny", reorder="zigzag")
 
 
 def test_run_model_rejects_reorder_mismatch():
@@ -248,15 +246,18 @@ def test_run_model_rejects_reorder_mismatch():
 # ----------------------------------------------------------------------
 # TrainConfig knobs
 # ----------------------------------------------------------------------
-def test_train_config_resolves_reorder_and_block(monkeypatch):
-    config = TrainConfig(epochs=1, reorder="rcm", spmm_block=1)
-    assert config.resolved_reorder() == "rcm"
+def test_train_config_resolves_reorder_and_block():
     from repro.engine import locality
+
+    config = TrainConfig(epochs=1, reorder="rcm", spmm_block=1)
+    assert config.reorder == "rcm"
     assert config.resolved_spmm_block() == locality.AUTO_BLOCK_BYTES
-    monkeypatch.setenv("REPRO_REORDER", "degree")
-    assert TrainConfig(epochs=1).resolved_reorder() == "degree"
-    monkeypatch.delenv("REPRO_REORDER")
-    assert TrainConfig(epochs=1).resolved_reorder() == "identity"
+    assert TrainConfig(epochs=1).reorder == "identity"
+    # Left unset, the block budget follows the engine-wide setting.
+    with locality.use_spmm_block("auto"):
+        assert (TrainConfig(epochs=1).resolved_spmm_block()
+                == locality.AUTO_BLOCK_BYTES)
+    assert TrainConfig(epochs=1, spmm_block=0).resolved_spmm_block() is None
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, reorder="zigzag")
     with pytest.raises(ValueError):

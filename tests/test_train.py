@@ -29,6 +29,26 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="step compiler was removed"):
             TrainConfig(compile=True)
 
+    def test_run_knobs_have_concrete_defaults(self, monkeypatch):
+        # The environment is not a configuration surface: variables that
+        # once overrode these fields must leave the defaults untouched.
+        for name, value in [("REPRO_PREFETCH", "0"), ("REPRO_WORKERS", "2"),
+                            ("REPRO_PARALLEL_MODE", "sync"),
+                            ("REPRO_REORDER", "rcm"),
+                            ("REPRO_ENGINE_ARENA", "0")]:
+            monkeypatch.setenv(name, value)
+        config = TrainConfig()
+        assert config.prefetch is True
+        assert config.workers == 0
+        assert config.parallel_mode == "hogwild"
+        assert config.reorder == "identity"
+        assert config.arena is True
+
+    def test_workers_require_minibatch_at_construction(self):
+        with pytest.raises(ValueError, match="requires propagation='minibatch'"):
+            TrainConfig(workers=1)
+        assert TrainConfig(workers=2, propagation="minibatch").workers == 2
+
     def test_paper_hyperparameters_grid(self):
         hp = PaperHyperparameters()
         assert hp.embed_dim == 16
@@ -137,3 +157,23 @@ class TestTrainer:
         history = Trainer(model, tiny_split, config, tiny_candidates).fit()
         assert history.mean_train_seconds() > 0
         assert history.mean_eval_seconds() > 0
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("propagation", ["full", "minibatch"])
+    def test_non_finite_loss_names_epoch_step_and_parameter(
+            self, tiny_graph, tiny_split, tiny_candidates, propagation):
+        model = create_model("dgnn", tiny_graph, embed_dim=8, seed=0)
+        poisoned = "layers.1.norm_user.shift"
+        dict(model.named_parameters())[poisoned].data[0] = np.nan
+        before = {name: param.data.copy()
+                  for name, param in model.named_parameters()}
+        config = TrainConfig(epochs=2, batch_size=64, batches_per_epoch=3,
+                             propagation=propagation, patience=None)
+        trainer = Trainer(model, tiny_split, config, tiny_candidates)
+        with pytest.raises(FloatingPointError,
+                           match=f"epoch 0, step 0 .*'{poisoned}'"):
+            trainer.fit()
+        # The guard fires before the update, so nothing else was poisoned.
+        for name, param in model.named_parameters():
+            np.testing.assert_array_equal(param.data, before[name])

@@ -109,8 +109,13 @@ def test_hogwild_two_workers_trains():
 
 
 def test_parallel_trainer_rejects_full_propagation():
+    # A worker count with full-graph propagation fails when the config
+    # is built, not when a run dispatches on it ...
+    with pytest.raises(ValueError, match="minibatch"):
+        TrainConfig(workers=1, propagation="full", epochs=1)
+    # ... and ParallelTrainer still refuses a full-graph config directly.
     model, split, candidates = _build()
-    config = TrainConfig(workers=1, propagation="full", epochs=1)
+    config = TrainConfig(propagation="full", epochs=1)
     with pytest.raises(ValueError, match="minibatch"):
         ParallelTrainer(model, split, config, candidates)
 
@@ -170,22 +175,6 @@ def test_config_validates_parallel_knobs():
         TrainConfig(workers=-1)
     with pytest.raises(ValueError, match="parallel_mode"):
         TrainConfig(parallel_mode="async")
-
-
-def test_config_resolves_parallel_knobs_from_env(monkeypatch):
-    config = TrainConfig()
-    assert config.resolved_workers() == 0
-    assert config.resolved_parallel_mode() == "hogwild"
-    monkeypatch.setenv("REPRO_WORKERS", "3")
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "sync")
-    assert config.resolved_workers() == 3
-    assert config.resolved_parallel_mode() == "sync"
-    explicit = TrainConfig(workers=1, parallel_mode="hogwild")
-    assert explicit.resolved_workers() == 1
-    assert explicit.resolved_parallel_mode() == "hogwild"
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "bogus")
-    with pytest.raises(ValueError, match="REPRO_PARALLEL_MODE"):
-        config.resolved_parallel_mode()
 
 
 def test_fit_model_dispatches_on_worker_count():

@@ -8,11 +8,7 @@ import pytest
 
 from repro.models import create_model
 from repro.train import TrainConfig, Trainer
-from repro.train.pipeline import (
-    MinibatchPlanner,
-    PrefetchPipeline,
-    prefetch_enabled,
-)
+from repro.train.pipeline import MinibatchPlanner, PrefetchPipeline
 
 PREFETCH_THREAD = "repro-prefetch"
 
@@ -30,20 +26,27 @@ def _minibatch_config(**overrides):
 
 
 class TestPrefetchEnabled:
-    def test_explicit_setting_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PREFETCH", "0")
-        assert prefetch_enabled(True) is True
-        monkeypatch.setenv("REPRO_PREFETCH", "1")
-        assert prefetch_enabled(False) is False
+    def test_explicit_setting_wins(self, tiny_graph, tiny_split,
+                                   tiny_candidates, monkeypatch):
+        """``TrainConfig.prefetch`` alone decides; the environment does not."""
+        import repro.train.trainer as trainer_module
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
-        assert prefetch_enabled(None) is True
-        for falsy in ("0", "false", "OFF", " no "):
-            monkeypatch.setenv("REPRO_PREFETCH", falsy)
-            assert prefetch_enabled(None) is False
-        monkeypatch.setenv("REPRO_PREFETCH", "1")
-        assert prefetch_enabled(None) is True
+        built = []
+
+        def recording_pipeline(steps):
+            built.append(True)
+            return PrefetchPipeline(steps)
+
+        monkeypatch.setattr(trainer_module, "PrefetchPipeline",
+                            recording_pipeline)
+        for env, prefetch in (("1", False), ("0", True)):
+            monkeypatch.setenv("REPRO_PREFETCH", env)
+            built.clear()
+            model = create_model("dgnn", tiny_graph, embed_dim=8, seed=0,
+                                 num_memory_units=2)
+            config = _minibatch_config(prefetch=prefetch, epochs=1)
+            Trainer(model, tiny_split, config, tiny_candidates).fit()
+            assert bool(built) is prefetch
 
 
 class TestPrefetchPipeline:
