@@ -833,8 +833,16 @@ def where(condition: np.ndarray, a, b) -> Tensor:
     return Tensor._make(data, (a, b), factory)
 
 
-def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: zero entries with probability ``rate`` and rescale."""
+def dropout(a, rate: float, rng: np.random.Generator, training: bool = True,
+            rows: Optional[np.ndarray] = None,
+            num_rows: Optional[int] = None) -> Tensor:
+    """Inverted dropout: zero entries with probability ``rate`` and rescale.
+
+    ``rows`` says that ``a`` holds only those rows of a ``(num_rows,
+    ...)`` input.  The mask is still drawn for the whole input and then
+    row-selected, so the generator advances exactly as it would for the
+    full input and the kept rows see the same mask entries.
+    """
     a = as_tensor(a)
     if not training or rate <= 0.0:
         return a
@@ -846,13 +854,16 @@ def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> 
     # mask cast down bit for bit.
     dtype = get_dtype()
     pool = arena.get_arena()
-    if pool.pools(a.shape, np.float64):
-        draws = pool.empty(a.shape, np.float64)
+    drawn = a.shape if rows is None else (int(num_rows),) + a.shape[1:]
+    if pool.pools(drawn, np.float64):
+        draws = pool.empty(drawn, np.float64)
         rng.random(out=draws)
         keep = pool.empty(a.shape, dtype)
-        np.greater_equal(draws, rate, out=keep)
+        np.greater_equal(draws if rows is None else draws[rows], rate,
+                         out=keep)
         pool.release(draws)
     else:
-        keep = (rng.random(a.shape) >= rate).astype(dtype)
+        draws = rng.random(drawn)
+        keep = ((draws if rows is None else draws[rows]) >= rate).astype(dtype)
     keep *= dtype.type(1.0 / (1.0 - rate))
     return mul(a, Tensor(keep))

@@ -14,7 +14,7 @@ optimize every model's hot path:
 * ``"naive"`` — transparent Python-loop reference implementations; the
   correctness oracle the parity test suite checks the others against.
 * ``"fast"``  — vectorized CSR kernels (scipy's compiled spmm, fused
-  einsum gather+dot, ``np.add.at`` scatter reductions, the memory
+  einsum gather+dot, scatter reductions as stable CSR row sums, the memory
   mixture as one wide ``(n, d) × (d, |M|·d)`` GEMM plus a batched gate
   contraction, LayerNorm with its row means as BLAS GEMVs).
 
@@ -73,6 +73,45 @@ def _out_buffer(shape, dtype, out: Optional[np.ndarray],
     if zero:
         out[...] = 0
     return out
+
+
+_ROW_SUM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _row_sum_into(out: np.ndarray, indices: np.ndarray,
+                  rows: np.ndarray) -> None:
+    """``np.add.at(out, indices, rows)``, bit for bit, as a CSR row sum.
+
+    The scatter runs as a row sum: an ``indptr`` from ``bincount``,
+    the gradient rows ordered by a stable ``argsort`` of their targets,
+    and ``csr_matvecs`` with unit weights summing them into ``out``.
+    Stability keeps each target's terms in index order, and ``1 · x``
+    is exact, so every output row is the same left-to-right sum
+    ``np.add.at`` forms.  Anything the kernel cannot take as is — a
+    dtype other than float32/float64 or a mismatch, a non-contiguous
+    ``out``, broadcast ``rows``, indices outside
+    ``[0, len(out))`` — goes to ``np.add.at``, which keeps its own
+    semantics (negative indices wrap, others raise).
+    """
+    flat = indices.reshape(-1)
+    num_rows = out.shape[0]
+    width = int(np.prod(out.shape[1:], dtype=np.int64))
+    if flat.size == 0 or width == 0:
+        return
+    if (_csr_tools is None or out.dtype not in _ROW_SUM_DTYPES
+            or rows.dtype != out.dtype
+            or not out.flags.c_contiguous
+            or rows.shape != indices.shape + out.shape[1:]
+            or int(flat.min()) < 0 or int(flat.max()) >= num_rows):
+        np.add.at(out, indices, rows)
+        return
+    order = np.argsort(flat, kind="stable")
+    indptr = np.zeros(num_rows + 1, dtype=order.dtype)
+    np.cumsum(np.bincount(flat, minlength=num_rows), out=indptr[1:])
+    values = np.ascontiguousarray(rows).reshape(flat.size, width)
+    _csr_tools.csr_matvecs(num_rows, flat.size, width, indptr, order,
+                           np.ones(flat.size, dtype=out.dtype),
+                           values.ravel(), out.reshape(-1))
 
 
 class KernelBackend:
@@ -620,12 +659,12 @@ class FastBackend(KernelBackend):
         if (locality.get_spmm_block() is not None
                 and locality.scatter_add_rows_clustered(grad, indices, out)):
             return out
-        np.add.at(out, indices, grad)
+        _row_sum_into(out, indices, grad)
         return out
 
     def _segment_sum(self, values, segment_ids, num_segments) -> np.ndarray:
         out = arena.zeros((num_segments,) + values.shape[1:], values.dtype)
-        np.add.at(out, segment_ids, values)
+        _row_sum_into(out, segment_ids, values)
         return out
 
     def _memory_mixture(self, embeddings, gates, transforms,

@@ -79,13 +79,19 @@ class LayerStack:
             merged = self.final_norm(merged)
         return merged
 
-    def run(self, initial: Slots,
-            step: Callable[..., Slots]) -> Slots:
+    def run(self, initial: Slots, step: Callable[..., Slots],
+            rows: Optional[Sequence[Optional[np.ndarray]]] = None) -> Slots:
         """Propagate ``initial`` through ``L`` applications of ``step``.
 
         ``initial`` is one tensor or a tuple of tensors (one per node
         set); ``step(layer_index, *current)`` must return the same
         arity.  Returns the combined output(s) with matching arity.
+
+        ``rows`` (one index array or ``None`` per slot) restricts a
+        slot's combined output to those rows.  The last ``step`` call
+        must already return only those rows for that slot; every
+        earlier layer output (and the input) is gathered at ``rows``
+        before the combine and the final norm.
         """
         single = isinstance(initial, Tensor)
         current: Tuple[Tensor, ...] = (initial,) if single else tuple(initial)
@@ -98,10 +104,15 @@ class LayerStack:
             for history, slot in zip(histories, current):
                 history.append(slot)
         outputs = []
-        for history in histories:
+        for slot, history in enumerate(histories):
             collected = history if self.include_input else history[1:]
             if not collected:
                 collected = history
+            if rows is not None and rows[slot] is not None:
+                computed = history[-1] if self.num_layers else None
+                collected = [entry if entry is computed
+                             else ops.gather_rows(entry, rows[slot])
+                             for entry in collected]
             outputs.append(self._merge(collected))
         return outputs[0] if single else tuple(outputs)
 
@@ -113,9 +124,10 @@ def bpr_terms(user_emb: Tensor, item_emb: Tensor, users: np.ndarray,
 
     Scores and the batch-embedding L2 regularizer are computed with the
     fused gather+rowwise-dot kernel, so no per-batch gathered embedding
-    copies enter the autograd graph.  Shared by
-    :meth:`repro.models.base.Recommender.bpr_loss` (full graph) and
-    :meth:`repro.models.dgnn.DGNN.bpr_loss_sampled` (induced subgraph).
+    copies enter the autograd graph.  The indices address rows of the
+    given tables: global ids for full-graph embeddings, local rows for
+    a subgraph's, and for DGNN's losses positions in the block of
+    scored items its pruned last layer computes.
     """
     users = np.asarray(users, dtype=np.int64)
     positives = np.asarray(positives, dtype=np.int64)

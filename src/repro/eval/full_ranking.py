@@ -61,6 +61,18 @@ def _score_block(user_emb: np.ndarray, item_emb: np.ndarray,
     return np.matmul(user_emb[block_users], item_emb.T, out=scores)
 
 
+def _scores_may_be_nan(user_emb: np.ndarray, item_emb: np.ndarray) -> bool:
+    """Whether any user·item score of the two tables can be NaN.
+
+    Finite tables whose largest entries cannot overflow a ``d``-term dot
+    product give finite scores, so the per-block NaN scan is needed only
+    for diverged (non-finite or huge) embeddings.
+    """
+    bound = (float(np.abs(user_emb).max(initial=0.0))
+             * float(np.abs(item_emb).max(initial=0.0)) * user_emb.shape[1])
+    return not bound < float(np.finfo(user_emb.dtype).max) / 2
+
+
 def full_ranking_ranks(model, split: Split, batch_size: int = 256,
                        mask_train: bool = True,
                        max_users: Optional[int] = None,
@@ -82,6 +94,10 @@ def full_ranking_ranks(model, split: Split, batch_size: int = 256,
         The subsample is drawn from a generator seeded with ``seed``
         alone, so repeated calls with the same arguments select the
         same users.
+
+    NaN scores raise ``ValueError`` naming how many rows hold one: NaN
+    compares false against everything, so a diverged model would
+    otherwise rank every positive first.
     """
     user_emb, item_emb = model.final_embeddings()
     users = split.test_users
@@ -98,6 +114,8 @@ def full_ranking_ranks(model, split: Split, batch_size: int = 256,
     # Ranks accumulate tie counts; float64 is the metric domain, not a
     # score-block upcast.
     ranks = np.empty(len(users), dtype=np.float64)
+    scan_nan = _scores_may_be_nan(user_emb, item_emb)
+    nan_rows = 0
     for start in range(0, len(users), batch_size):
         block_users = users[start:start + batch_size]
         block_positives = positives[start:start + batch_size]
@@ -105,10 +123,15 @@ def full_ranking_ranks(model, split: Split, batch_size: int = 256,
         if mask_train:
             _mask_train_items(scores, block_users, indptr, indices)
         positive_scores = scores[np.arange(len(block_users)), block_positives]
+        if scan_nan:  # max propagates NaN: one pass finds every such row
+            nan_rows += int(np.isnan(scores.max(axis=1)).sum())
         better = (scores > positive_scores[:, None]).sum(axis=1)
         ties = (scores == positive_scores[:, None]).sum(axis=1) - 1
         ranks[start:start + len(block_users)] = better + 0.5 * ties
         arena.release(scores)
+    if nan_rows:
+        raise ValueError(f"NaN item scores in {nan_rows} of {len(users)} "
+                         f"ranked rows; the model has diverged")
     return ranks
 
 

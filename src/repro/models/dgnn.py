@@ -29,14 +29,15 @@ False`` yields "-S" / "-T" / "-ST" (Fig. 5).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor
-from repro.engine.propagate import LayerStack
+from repro.engine.propagate import LayerStack, bpr_terms
+from repro.graph.adjacency import as_csr64
 from repro.graph.hetero import CollaborativeHeteroGraph
 from repro.models.base import Recommender
 from repro.models.memory import MemoryBank
@@ -106,21 +107,34 @@ class _DgnnLayer(Module):
         return self.plain.apply(edge_type, embeddings)
 
     def _stabilize(self, aggregated: Tensor, previous: Tensor, norm: LayerNorm,
-                   edge_type: str) -> Tensor:
+                   edge_type: str, rows: Optional[np.ndarray] = None,
+                   num_rows: Optional[int] = None) -> Tensor:
         """Eq. 7: LeakyReLU(LayerNorm(message)) + memory self-propagation.
 
         Message dropout (training only) regularizes the aggregated message
         before normalization — the standard graph-recommender training
-        detail (NGCF / LightGCN family release code).
+        detail (NGCF / LightGCN family release code).  When the message
+        covers only ``rows`` of ``num_rows`` nodes, the mask is drawn for
+        all of them and row-selected, so the dropout stream is the same.
         """
-        aggregated = self.dropout(aggregated)
+        aggregated = self.dropout(aggregated, rows=rows, num_rows=num_rows)
         activated = (ops.leaky_relu(norm(aggregated), 0.2) if self.use_layernorm
                      else ops.leaky_relu(aggregated, 0.2))
         return ops.add(activated, self._self_loop(edge_type, previous))
 
     # -- full layer --------------------------------------------------------
     def forward(self, graph: CollaborativeHeteroGraph, users: Tensor,
-                items: Tensor, relations: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+                items: Tensor, relations: Tensor,
+                item_rows: Optional[np.ndarray] = None,
+                ) -> Tuple[Tensor, Tensor, Tensor]:
+        """One layer on ``graph``; ``item_rows`` limits the item half.
+
+        With ``item_rows`` the returned items are the Eq. 5 updates of
+        those rows only (in that order): their rows of the joint item
+        adjacencies aggregate the full user and relation inputs, and
+        their own input rows gate and self-propagate.  Users and
+        relation nodes always update in full.
+        """
         # Users (Eq. 4): social message + interaction message under the
         # joint 1/(|N^S|+|N^Y|) normalization.  By default both use the
         # Eq. 3 form (target gates transform aggregated source
@@ -139,10 +153,17 @@ class _DgnnLayer(Module):
 
         # Items (Eq. 5): user messages + relation-node messages under the
         # joint 1/(|N^Y|+|N^T|) normalization.
+        item_targets = items
+        item_user = graph.item_user_joint
+        item_relation = graph.item_relation_joint
+        if item_rows is not None:
+            item_targets = ops.gather_rows(items, item_rows)
+            item_user = as_csr64(item_user[item_rows])
+            item_relation = as_csr64(item_relation[item_rows])
         item_message = ops.add(
-            self._target_gated("item_from_user", items, users, graph.item_user_joint),
-            self._target_gated("item_from_relation", items, relations,
-                               graph.item_relation_joint))
+            self._target_gated("item_from_user", item_targets, users, item_user),
+            self._target_gated("item_from_relation", item_targets, relations,
+                               item_relation))
 
         # Relation nodes (Eq. 6): aggregated item messages, memory-gated.
         if self.literal_eq4:
@@ -153,7 +174,8 @@ class _DgnnLayer(Module):
                 "relation_from_item", relations, items, graph.relation_item_mean)
 
         new_users = self._stabilize(user_message, users, self.norm_user, "self_user")
-        new_items = self._stabilize(item_message, items, self.norm_item, "self_item")
+        new_items = self._stabilize(item_message, item_targets, self.norm_item,
+                                    "self_item", item_rows, items.shape[0])
         new_relations = self._stabilize(relation_message, relations,
                                         self.norm_relation, "self_relation")
         return new_users, new_items, new_relations
@@ -212,28 +234,86 @@ class DGNN(Recommender):
             self.num_layers, combine="concat", include_input=True,
             final_norm=self.final_norm if self.use_layernorm else None)
 
-    def propagate_all(self) -> Tuple[Tensor, Tensor, Tensor]:
-        """Run Eqs. 3–8; return final user / item / relation embeddings."""
-        initial = (self.user_embedding.all(), self.item_embedding.all(),
-                   self.relation_embedding.all())
+    def _initial(self) -> Tuple[Tensor, Tensor, Tensor]:
+        """Layer-0 user / item / relation embeddings (Eq. 1)."""
+        return (self.user_embedding.all(), self.item_embedding.all(),
+                self.relation_embedding.all())
+
+    def _initial_on(self, subgraph) -> Tuple[Tensor, Tensor, Tensor]:
+        """Layer-0 embeddings of a subgraph's local rows."""
+        return (ops.gather_rows(self.user_embedding.weight, subgraph.user_ids),
+                ops.gather_rows(self.item_embedding.weight, subgraph.item_ids),
+                self.relation_embedding.all())
+
+    def _stack_all(self, graph, initial, item_rows: Optional[np.ndarray] = None,
+                   ) -> Tuple[Tensor, Tensor, Tensor]:
+        """Eqs. 3–8 on ``graph``; ``item_rows`` prunes the item output.
+
+        With ``item_rows`` the last layer's item half runs on those rows
+        only and the Eq. 8 item concat gathers the earlier layers there,
+        so the returned item embeddings are exactly those rows.
+        """
+        last = self.num_layers - 1
 
         def step(layer_index, users, items, relations):
-            return self.layers[layer_index](self.graph, users, items, relations)
+            return self.layers[layer_index](
+                graph, users, items, relations,
+                item_rows if layer_index == last else None)
 
-        return self._stack().run(initial, step)
+        rows = None if item_rows is None else (None, item_rows, None)
+        return self._stack().run(initial, step, rows=rows)
 
-    def propagate(self) -> Tuple[Tensor, Tensor]:
+    def _propagate(self, graph, initial, item_rows: Optional[np.ndarray] = None,
+                   ) -> Tuple[Tensor, Tensor]:
         """Final embeddings with τ folded into the user side (Eq. 10).
 
         τ (Eq. 9) is the row-normalized ``S + I`` average of a user's
         social neighbourhood including themselves — served as a cached
-        graph view, so it is normalized once per run, not per call.
+        graph view, so it is normalized once per graph, not per call.
+        The one path behind :meth:`propagate`, :meth:`propagate_on` and
+        both BPR losses; the losses pass the batch's ``item_rows``.
         """
-        user_final, item_final, _ = self.propagate_all()
+        user_final, item_final, _ = self._stack_all(graph, initial, item_rows)
         if self.use_tau:
-            recalibrated = ops.spmm(self.graph.social_self_loop_mean, user_final)
+            recalibrated = ops.spmm(graph.social_self_loop_mean, user_final)
             user_final = ops.add(user_final, recalibrated)
         return user_final, item_final
+
+    def propagate_all(self) -> Tuple[Tensor, Tensor, Tensor]:
+        """Run Eqs. 3–8; return final user / item / relation embeddings."""
+        return self._stack_all(self.graph, self._initial())
+
+    def propagate(self) -> Tuple[Tensor, Tensor]:
+        """Final embeddings of every user and item (Eqs. 3–10)."""
+        return self._propagate(self.graph, self._initial())
+
+    def _pruned_bpr(self, graph, initial, users: np.ndarray,
+                    positives: np.ndarray, negatives: np.ndarray,
+                    l2: float) -> Tensor:
+        """Eq. 11 with the last layer computed on the scored items only.
+
+        The loss reads final item embeddings of the batch's positives
+        and negatives alone, so the last layer's item half, the item
+        concat and the final item LayerNorm run on their unique rows;
+        :func:`bpr_terms` then scores through local indices into them.
+        """
+        scored = np.concatenate([np.asarray(positives, np.int64),
+                                 np.asarray(negatives, np.int64)])
+        item_rows, local = np.unique(scored, return_inverse=True)
+        user_emb, item_emb = self._propagate(graph, initial, item_rows)
+        return bpr_terms(user_emb, item_emb, users, local[:len(positives)],
+                         local[len(positives):], l2=l2)
+
+    def bpr_loss(self, users: np.ndarray, positives: np.ndarray,
+                 negatives: np.ndarray, l2: float = 1e-4) -> Tensor:
+        """Full-graph BPR loss (Eq. 11), last layer on the scored items.
+
+        Equal to ``bpr_terms(*self.propagate(), ...)`` to dtype
+        tolerance, with the same dropout stream.
+        """
+        self.invalidate_cache()
+        return self._pruned_bpr(self.graph, self._initial(), users,
+                                positives, negatives, l2)
 
     # ------------------------------------------------------------------
     # Minibatch (neighbour-sampled) training
@@ -258,23 +338,21 @@ class DGNN(Recommender):
         user/item rows and gradients scatter back into the global
         embedding tables.
         """
-        initial = (
-            ops.gather_rows(self.user_embedding.weight, subgraph.user_ids),
-            ops.gather_rows(self.item_embedding.weight, subgraph.item_ids),
-            self.relation_embedding.all())
+        return self._propagate(subgraph.graph, self._initial_on(subgraph))
 
-        def step(layer_index, users, items, relations):
-            return self.layers[layer_index](subgraph.graph, users, items,
-                                            relations)
+    def bpr_loss_on(self, subgraph, users: np.ndarray, positives: np.ndarray,
+                    negatives: np.ndarray, l2: float = 1e-4) -> Tensor:
+        """BPR loss on a prebuilt subgraph, last layer on the scored items.
 
-        user_final, item_final, _ = self._stack().run(initial, step)
-        if self.use_tau:
-            # Cached view: repeated propagation on the same subgraph (and
-            # every full-graph call) normalizes (S + I) exactly once —
-            # the seed re-ran row_normalize(add_self_loops(S)) per batch.
-            tau_matrix = subgraph.graph.social_self_loop_mean
-            user_final = ops.add(user_final, ops.spmm(tau_matrix, user_final))
-        return user_final, item_final
+        The same pruned path as :meth:`bpr_loss`, in the subgraph's
+        local rows.
+        """
+        self.invalidate_cache()
+        return self._pruned_bpr(
+            subgraph.graph, self._initial_on(subgraph),
+            subgraph.local_users(np.asarray(users, np.int64)),
+            subgraph.local_items(np.asarray(positives, np.int64)),
+            subgraph.local_items(np.asarray(negatives, np.int64)), l2)
 
     # ------------------------------------------------------------------
     # Introspection for the case studies (Figs. 9-10)

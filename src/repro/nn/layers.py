@@ -90,8 +90,12 @@ class Dropout(Module):
         self.rate = float(rate)
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.dropout(x, self.rate, self._rng, training=self.training)
+    def forward(self, x: Tensor, rows: Optional[np.ndarray] = None,
+                num_rows: Optional[int] = None) -> Tensor:
+        """Drop entries of ``x``; see :func:`repro.autograd.ops.dropout`
+        for ``rows``/``num_rows`` (a row subset of a larger input)."""
+        return ops.dropout(x, self.rate, self._rng, training=self.training,
+                           rows=rows, num_rows=num_rows)
 
 
 class Sequential(Module):

@@ -78,6 +78,16 @@ def _relabel_csr(matrix: sp.csr_matrix, map_rows, map_cols) -> sp.csr_matrix:
         shape=matrix.shape)
 
 
+def _refuse_non_finite(action: str, **tables: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first table row with a NaN/inf."""
+    for name, table in tables.items():
+        finite = np.isfinite(table).all(axis=1)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"refusing to {action}: {name} row {row} is "
+                             f"not finite")
+
+
 def _sha256_file(path: Path, chunk_bytes: int = 1 << 22) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -158,8 +168,16 @@ class EmbeddingSnapshot:
         are restored to original-id order and both CSR masks are
         rebuilt in original ids, so the published snapshot — and every
         serving component on top of it — speaks original ids only.
+
+        Raises ``ValueError`` when an embedding table holds a NaN or
+        infinity, naming the table and its first non-finite row (in
+        original ids), before the interaction masks are built.
         """
         user_emb, item_emb = model.final_embeddings()
+        if permutation is not None:
+            user_emb = permutation.restore_user_rows(np.asarray(user_emb))
+            item_emb = permutation.restore_item_rows(np.asarray(item_emb))
+        _refuse_non_finite("snapshot", user_emb=user_emb, item_emb=item_emb)
         graph = model.graph
         if split is not None:
             train = split.train_matrix().tocsr()
@@ -167,8 +185,6 @@ class EmbeddingSnapshot:
             train = graph.interaction.tocsr()
         social = graph.social.tocsr()
         if permutation is not None:
-            user_emb = permutation.restore_user_rows(np.asarray(user_emb))
-            item_emb = permutation.restore_item_rows(np.asarray(item_emb))
             train = _relabel_csr(train, permutation.original_users,
                                  permutation.original_items)
             social = _relabel_csr(social, permutation.original_users,
@@ -315,12 +331,8 @@ class SnapshotStore:
         table holds a NaN or infinity, naming the table and its first
         non-finite row, so a diverged model never reaches serving.
         """
-        for table in ("user_emb", "item_emb"):
-            finite = np.isfinite(getattr(snapshot, table)).all(axis=1)
-            if not finite.all():
-                row = int(np.flatnonzero(~finite)[0])
-                raise ValueError(
-                    f"refusing to publish: {table} row {row} is not finite")
+        _refuse_non_finite("publish", user_emb=snapshot.user_emb,
+                           item_emb=snapshot.item_emb)
         versions = self.versions()
         next_number = (int(versions[-1][1:]) + 1) if versions else 1
         while True:

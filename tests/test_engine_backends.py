@@ -93,6 +93,68 @@ class TestKernelParity:
                                            atol=1e-12, err_msg=f"{method}/{name}")
 
 
+class TestScatterBitwise:
+    """The fast scatter kernels equal ``np.add.at`` bit for bit."""
+
+    @staticmethod
+    def _grads(rng, shape, dtype):
+        # Magnitudes over 16 decades make every summation order show.
+        scale = 10.0 ** rng.integers(-8, 8, size=shape)
+        return (rng.standard_normal(shape) * scale).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("trailing", [(), (6,), (3, 4)])
+    def test_scatter_add_rows_matches_add_at(self, rng, dtype, index_dtype,
+                                             trailing):
+        # 400 rows into 7 targets: every target is hit dozens of times.
+        indices = rng.integers(0, 7, size=400).astype(index_dtype)
+        grad = self._grads(rng, (400,) + trailing, dtype)
+        expected = np.zeros((7,) + trailing, dtype)
+        np.add.at(expected, indices, grad)
+        with use_backend("fast"):
+            result = get_backend().scatter_add_rows(grad, indices, 7)
+        assert result.dtype == expected.dtype
+        assert result.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_sum_matches_add_at(self, rng, dtype):
+        ids = rng.integers(0, 5, size=300).astype(np.int64)
+        values = self._grads(rng, (300, 4), dtype)
+        expected = np.zeros((9, 4), dtype)
+        np.add.at(expected, ids, values)
+        with use_backend("fast"):
+            result = get_backend().segment_sum(values, ids, 9)
+        assert result.tobytes() == expected.tobytes()
+
+    def test_empty_indices_give_zeros(self):
+        grad = np.zeros((0, 3))
+        with use_backend("fast"):
+            result = get_backend().scatter_add_rows(
+                grad, np.zeros(0, np.int64), 4)
+        assert result.tobytes() == np.zeros((4, 3)).tobytes()
+
+    def test_out_buffer_is_zeroed_then_filled(self, rng):
+        indices = rng.integers(0, 5, size=60).astype(np.int32)
+        grad = self._grads(rng, (60, 3), np.float32)
+        expected = np.zeros((5, 3), np.float32)
+        np.add.at(expected, indices, grad)
+        out = np.full((5, 3), 7.0, np.float32)
+        with use_backend("fast"):
+            result = get_backend().scatter_add_rows(grad, indices, 5, out=out)
+        assert result is out
+        assert out.tobytes() == expected.tobytes()
+
+    def test_multidimensional_indices(self, rng):
+        indices = rng.integers(0, 4, size=(5, 6)).astype(np.int64)
+        grad = self._grads(rng, (5, 6, 2), np.float64)
+        expected = np.zeros((4, 2))
+        np.add.at(expected, indices, grad)
+        with use_backend("fast"):
+            result = get_backend().scatter_add_rows(grad, indices, 4)
+        assert result.tobytes() == expected.tobytes()
+
+
 class TestOpGradParity:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_spmm_gradcheck(self, backend, rng):

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.eval.full_ranking import full_ranking_ranks, full_ranking_topk
+from repro.eval.full_ranking import (
+    _scores_may_be_nan,
+    evaluate_full_ranking,
+    full_ranking_ranks,
+    full_ranking_topk,
+)
 from repro.eval.metrics import top_k_indices
+from repro.models import BprMF
+from repro.models.dgnn import DGNN
 from repro.models.lightgcn import LightGCN
 
 
@@ -72,3 +79,51 @@ class TestMaxUsersDeterminism:
         a = full_ranking_ranks(model, tiny_split, max_users=10, seed=3)
         b = full_ranking_ranks(model, tiny_split, max_users=10, seed=4)
         assert not np.array_equal(a, b)
+
+
+class TestNanScores:
+    def test_nan_scores_raise_with_row_count(self, tiny_graph, tiny_split):
+        # One NaN LayerNorm shift puts a NaN in every final embedding, so
+        # every score is NaN.  Every comparison against NaN is false, so
+        # the ranks used to come out as -0.5 (full-hr@10 1.0).
+        model = DGNN(tiny_graph, embed_dim=8, num_layers=1,
+                     num_memory_units=4, seed=0)
+        model.final_norm.shift.data[2] = np.nan
+        model.invalidate_cache()
+        users = len(tiny_split.test_users)
+        with pytest.raises(ValueError,
+                           match=f"NaN item scores in {users} of {users} "):
+            full_ranking_ranks(model, tiny_split)
+        with pytest.raises(ValueError, match="NaN item scores in 7 of 7 "):
+            evaluate_full_ranking(model, tiny_split, max_users=7)
+
+    def test_finite_embeddings_overflowing_to_nan_raise(self, tiny_graph,
+                                                        tiny_split):
+        # Finite tables whose products overflow: +inf and -inf terms meet
+        # in one user's dot products.  Whether that gives NaN depends on
+        # the BLAS (a fused multiply-add keeps +inf), so the expected
+        # count comes from the same matmul; the scan must run either way.
+        model = BprMF(tiny_graph, embed_dim=4, seed=0)
+        huge = np.sqrt(np.finfo(model.item_embedding.weight.data.dtype).max)
+        user = int(tiny_split.test_users[0])
+        model.user_embedding.weight.data[user, :2] = 4 * huge
+        model.item_embedding.weight.data[:, 0] = huge
+        model.item_embedding.weight.data[:, 1] = -huge
+        model.invalidate_cache()
+        user_emb, item_emb = model.final_embeddings()
+        assert np.isfinite(user_emb).all() and np.isfinite(item_emb).all()
+        assert _scores_may_be_nan(user_emb, item_emb)
+        users = len(tiny_split.test_users)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = user_emb[tiny_split.test_users] @ item_emb.T
+            nan_rows = int(np.isnan(scores).any(axis=1).sum())
+            if nan_rows:
+                with pytest.raises(ValueError, match=(
+                        f"NaN item scores in {nan_rows} of {users} ")):
+                    full_ranking_ranks(model, tiny_split)
+            else:
+                assert len(full_ranking_ranks(model, tiny_split)) == users
+
+    def test_healthy_embeddings_skip_the_scan(self, model):
+        user_emb, item_emb = model.final_embeddings()
+        assert not _scores_may_be_nan(user_emb, item_emb)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.autograd import no_grad
-from repro.engine import tolerances
+from repro.engine import instrument, tolerances
+from repro.engine.propagate import bpr_terms
 from repro.graph import CollaborativeHeteroGraph
 from repro.graph.adjacency import add_self_loops, row_normalize
+from repro.graph.sampling import sample_subgraph_view
 from repro.models.dgnn import DGNN
 
 
@@ -129,6 +131,133 @@ class TestTraining:
         assert model.item_embedding.weight.grad is not None
         assert model.relation_embedding.weight.grad is not None
         assert float(np.abs(model.relation_embedding.weight.grad).sum()) > 0
+
+
+_COUNTED_KERNELS = ("calls.spmm", "calls.memory_mixture",
+                    "calls.gathered_rowwise_dot")
+
+
+def _dropout_states(model):
+    return [layer.dropout._rng.bit_generator.state for layer in model.layers]
+
+
+def _training_step(model, states, loss_fn):
+    """Loss, dense parameter grads, counted kernel calls, dropout states."""
+    for layer, state in zip(model.layers, states):
+        layer.dropout._rng.bit_generator.state = state
+    model.zero_grad()
+    before = instrument.snapshot()
+    loss = loss_fn()
+    loss.backward()
+    calls = instrument.delta(before, instrument.snapshot())
+    grads = {name: (None if param.grad is None else
+                    np.array(getattr(param.grad, "to_dense",
+                                     lambda: param.grad)()))
+             for name, param in model.named_parameters()}
+    return (loss.item(), grads, {key: calls.get(key, 0.0)
+                                 for key in _COUNTED_KERNELS},
+            _dropout_states(model))
+
+
+class TestPrunedLossParity:
+    """The BPR losses compute the last layer on the scored item rows only.
+
+    The oracle is the unpruned composition: full propagation, then
+    ``bpr_terms`` on global (or subgraph-local) item ids.
+    """
+
+    VARIANTS = [
+        pytest.param({}, id="paper"),
+        pytest.param({"use_memory": False}, id="-M"),
+        pytest.param({"use_layernorm": False}, id="-LN"),
+        pytest.param({"use_tau": False}, id="-tau"),
+        pytest.param({"literal_eq4": True}, id="literal_eq4"),
+        pytest.param({"num_layers": 0}, id="L0"),
+        pytest.param({"num_layers": 1}, id="L1"),
+        pytest.param({"num_layers": 3}, id="L3"),
+    ]
+
+    @staticmethod
+    def _batch(split, graph):
+        users = split.train_pairs[:48, 0]
+        positives = split.train_pairs[:48, 1]
+        # Repeated negatives: local index mapping must handle duplicates.
+        negatives = (positives * 7 + 3) % 11
+        return users, positives, negatives
+
+    @staticmethod
+    def _model(graph, kwargs):
+        params = dict(embed_dim=8, num_layers=2, num_memory_units=4, seed=0,
+                      message_dropout=0.3)
+        params.update(kwargs)
+        model = DGNN(graph, **params)
+        model.train()  # dropout on: both paths must draw the same masks
+        return model
+
+    def _assert_same_step(self, pruned, oracle):
+        tol = tolerances()
+        loss, grads, calls, states = pruned
+        oracle_loss, oracle_grads, oracle_calls, oracle_states = oracle
+        np.testing.assert_allclose(loss, oracle_loss, rtol=tol.rtol,
+                                   atol=tol.atol)
+        assert grads.keys() == oracle_grads.keys()
+        for name, grad in grads.items():
+            expected = oracle_grads[name]
+            assert (grad is None) == (expected is None), name
+            if expected is not None:
+                np.testing.assert_allclose(grad, expected, rtol=tol.rtol,
+                                           atol=tol.atol, err_msg=name)
+        assert calls == oracle_calls
+        assert states == oracle_states
+
+    @pytest.mark.parametrize("kwargs", VARIANTS)
+    def test_full_graph_matches_unpruned(self, kwargs, tiny_graph,
+                                         tiny_split):
+        model = self._model(tiny_graph, kwargs)
+        users, positives, negatives = self._batch(tiny_split, tiny_graph)
+        states = _dropout_states(model)
+        pruned = _training_step(model, states, lambda: model.bpr_loss(
+            users, positives, negatives, l2=1e-3))
+        oracle = _training_step(model, states, lambda: bpr_terms(
+            *model.propagate(), users, positives, negatives, l2=1e-3))
+        self._assert_same_step(pruned, oracle)
+
+    @pytest.mark.parametrize("kwargs", VARIANTS)
+    def test_subgraph_view_matches_unpruned(self, kwargs, tiny_graph,
+                                            tiny_split):
+        model = self._model(tiny_graph, kwargs)
+        users, positives, negatives = self._batch(tiny_split, tiny_graph)
+        view = sample_subgraph_view(
+            tiny_graph, users, np.concatenate([positives, negatives]),
+            hops=model.minibatch_hops(), fanout=None, seed=0)
+        states = _dropout_states(model)
+        pruned = _training_step(model, states, lambda: model.bpr_loss_on(
+            view, users, positives, negatives, l2=1e-3))
+        oracle = _training_step(model, states, lambda: bpr_terms(
+            *model.propagate_on(view), view.local_users(users),
+            view.local_items(positives), view.local_items(negatives),
+            l2=1e-3))
+        self._assert_same_step(pruned, oracle)
+
+    def test_last_layer_runs_on_scored_items_only(self, tiny_graph,
+                                                  tiny_split):
+        model = self._model(tiny_graph, {})
+        users, positives, negatives = self._batch(tiny_split, tiny_graph)
+        scored = len(np.unique(np.concatenate([positives, negatives])))
+        assert scored < tiny_graph.num_items
+        rows = []
+        original = model.final_norm.forward
+
+        def recording(x):
+            rows.append(x.shape[0])
+            return original(x)
+
+        model.final_norm.forward = recording
+        model.bpr_loss(users, positives, negatives)
+        # The final LayerNorm sees all users, only the scored items, and
+        # the relation nodes, which stay whole.
+        assert rows == [tiny_graph.num_users, scored,
+                        tiny_graph.num_relations]
 
 
 class TestMemoryAttention:

@@ -1,5 +1,6 @@
 """Snapshot store: publish/load lifecycle, integrity, bitwise parity."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -127,20 +128,33 @@ class TestIntegrity:
 
     def test_non_finite_embeddings_are_not_published(self, tiny_graph,
                                                      tiny_split, tmp_path):
-        # BprMF serves its tables as-is, so the planted NaN stays in one
-        # item row instead of spreading through propagation.
         model = BprMF(tiny_graph, embed_dim=8, seed=0)
         store = SnapshotStore(tmp_path)
-        store.publish(EmbeddingSnapshot.from_model(model, tiny_split))
-        model.item_embedding.weight.data[3, 1] = np.nan
-        model.invalidate_cache()
-        diverged = EmbeddingSnapshot.from_model(model, tiny_split)
+        healthy = EmbeddingSnapshot.from_model(model, tiny_split)
+        store.publish(healthy)
+        # from_model refuses a diverged model itself, so plant the NaN in
+        # a snapshot built by hand: publish must still check on its own.
+        item_emb = healthy.item_emb.copy()
+        item_emb[3, 1] = np.nan
+        diverged = dataclasses.replace(healthy, item_emb=item_emb,
+                                       version=None)
         with pytest.raises(ValueError, match="item_emb row 3 "):
             store.publish(diverged)
         assert store.latest_version() == "v000001"
         assert store.versions() == ["v000001"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "LATEST", "v000001"]
+
+    def test_from_model_refuses_non_finite_embeddings(self, tiny_graph,
+                                                      tiny_split):
+        # BprMF serves its tables as-is, so the planted infinity stays in
+        # one user row instead of spreading through propagation.
+        model = BprMF(tiny_graph, embed_dim=8, seed=0)
+        model.user_embedding.weight.data[5, 0] = np.inf
+        model.invalidate_cache()
+        with pytest.raises(ValueError,
+                           match="refusing to snapshot: user_emb row 5 "):
+            EmbeddingSnapshot.from_model(model, tiny_split)
 
 
 class TestServingParity:
